@@ -20,13 +20,11 @@ from .model import (
     parse_offspring,
 )
 from .kernel import (
-    KilledStepSample,
     asymptotic_error_bounds,
     first_passage_density,
     killed_cdf,
     killed_density,
     sample_hitting_time,
-    sample_killed_step,
     sample_killed_steps_batch,
     survival_prefactor_error,
     survival_probability,
@@ -35,7 +33,6 @@ from .engine import (
     Census,
     EventRecorder,
     MartingaleTrace,
-    Particle,
     ReplicateResult,
     additive_martingale,
     count,
@@ -76,11 +73,11 @@ __all__ = [
     "IntervalSet", "ModelParams", "OffspringLaw", "Regime",
     "classify_regime", "ground_state_h", "nu_cdf", "nu_measure",
     "offspring_moments", "parse_offspring",
-    "KilledStepSample", "asymptotic_error_bounds", "first_passage_density",
+    "asymptotic_error_bounds", "first_passage_density",
     "killed_cdf", "killed_density", "sample_hitting_time",
-    "sample_killed_step", "sample_killed_steps_batch",
+    "sample_killed_steps_batch",
     "survival_prefactor_error", "survival_probability",
-    "Census", "EventRecorder", "MartingaleTrace", "Particle",
+    "Census", "EventRecorder", "MartingaleTrace",
     "ReplicateResult", "additive_martingale", "count", "run_replicate",
     "shifted_truncated_count", "spawn_rng_stream", "truncated_count",
     "truncated_martingale", "truncation_flags_for",

@@ -21,6 +21,7 @@ import numpy as np
 
 from .engine import run_replicate, spawn_rng_stream
 from .experiments import (
+    _mean_se,
     experiment_kesten,
     experiment_phase_diagram,
     tk_schedule_report,
@@ -327,14 +328,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
     for t in grid:
         acc = per_census[t]
         alive = np.array(acc["alive"], dtype=float)
-        D = np.array(acc["D"])
         m = len(alive)
-        srows.append([
-            t, m, float((alive > 0).mean()) if m else math.nan,
-            float(alive.mean()) if m else math.nan,
-            float(alive.std(ddof=1) / math.sqrt(m)) if m > 1 else math.nan,
-            float(D.mean()) if m else math.nan,
-            float(D.std(ddof=1) / math.sqrt(m)) if m > 1 else math.nan,
+        row = [t, m, float((alive > 0).mean()) if m else math.nan]
+        for stat in (_mean_se(alive), _mean_se(acc["D"])):
+            # the SE of a one-replicate run prints as nan, not inf
+            row += [stat["value"], stat["stderr"] if m > 1 else math.nan]
+        srows.append(row + [
             float(np.mean(acc["D_trunc"])) if m else math.nan,
             float(np.mean(acc["absorbed"])) if m else math.nan,
         ])

@@ -32,7 +32,6 @@ TIE_EPS = 1e-15
 __all__ = [
     "Census",
     "MartingaleTrace",
-    "Particle",
     "ReplicateResult",
     "EventRecorder",
     "spawn_rng_stream",
@@ -70,17 +69,6 @@ def spawn_rng_stream(master_seed: int, replicate_index: int) -> np.random.Genera
 
 
 @dataclass(frozen=True)
-class Particle:
-    """Snapshot record of one alive particle at a census."""
-
-    id: int
-    parent_id: int
-    birth_time: float
-    position: float
-    truncation_ok: bool
-
-
-@dataclass(frozen=True)
 class Census:
     """Exact population snapshot at one census time."""
 
@@ -100,15 +88,6 @@ class Census:
     chk_time: np.ndarray | None
     chk_pos: np.ndarray | None
     truncation_M: float | None
-
-    def particles(self) -> list[Particle]:
-        return [
-            Particle(int(i), int(p), float(b), float(x), bool(f))
-            for i, p, b, x, f in zip(
-                self.ids, self.parent_ids, self.birth_times,
-                self.alive_positions, self.truncated_flags,
-            )
-        ]
 
 
 @dataclass(frozen=True)
@@ -130,7 +109,6 @@ class ReplicateResult:
     status: str
     n_events: int
     counters: dict[str, int]
-    absorption_times: np.ndarray | None = None
 
 
 class EventRecorder:
@@ -166,6 +144,55 @@ class EventRecorder:
         return np.concatenate(self._times) if self._times else np.empty(0)
 
 
+# The cohort's columns, one row per active particle.
+_COLUMNS = {
+    "pos": np.float64,     # position
+    "flag": np.bool_,      # run-time window flag: every check so far inside J_M
+    "ratio": np.float64,   # max of pos / (1 + t^{3/4}) over this interval's checks
+    "pid": np.int64,       # particle id
+    "parent": np.int64,    # parent's id, -1 for the root
+    "birth": np.float64,   # birth time
+    "anc": np.int64,       # slot in the previous census, -1 before the first
+    "chain": np.int64,     # latest checkpoint row of this interval, -1 if none;
+                           # read only with checkpoint chains
+    "accum": np.float64,   # time alive before the current step
+}
+
+
+class _Cohort:
+    """Particles of one replicate as one array per column of _COLUMNS."""
+
+    __slots__ = tuple(_COLUMNS)
+
+    def __init__(self, **cols: np.ndarray) -> None:
+        for name in _COLUMNS:
+            setattr(self, name, cols[name])
+
+    @classmethod
+    def zeros(cls, n: int = 0) -> "_Cohort":
+        """n particles with every column zero; the empty cohort by default."""
+        return cls(**{name: np.zeros(n, dtype) for name, dtype in _COLUMNS.items()})
+
+    @classmethod
+    def concat(cls, parts: list["_Cohort"]) -> "_Cohort":
+        """The rows of every part, in order."""
+        if not parts:
+            return cls.zeros()
+        return cls(**{name: np.concatenate([getattr(c, name) for c in parts]) for name in _COLUMNS})
+
+    @property
+    def size(self) -> int:
+        return self.pos.size
+
+    def take(self, idx: np.ndarray) -> "_Cohort":
+        """The rows idx (an index array or boolean mask)."""
+        return _Cohort(**{name: getattr(self, name)[idx] for name in _COLUMNS})
+
+    def repeat(self, counts: np.ndarray) -> "_Cohort":
+        """Row k repeated counts[k] times."""
+        return _Cohort(**{name: np.repeat(getattr(self, name), counts) for name in _COLUMNS})
+
+
 class _Run:
     """Mutable state of one replicate; see run_replicate for the contract."""
 
@@ -179,10 +206,8 @@ class _Run:
         rng,
         interval_sets,
         population_cap,
-        bridge_correction,
-        record_absorption_times,
         event_recorder,
-        checkpoint_chains=True,
+        checkpoint_chains,
     ) -> None:
         self.params = params
         self.x0 = float(x0)
@@ -192,8 +217,6 @@ class _Run:
         self.rng = rng
         self.sets = tuple(interval_sets)
         self.cap = int(population_cap)
-        self.bridge = bool(bridge_correction)
-        self.record_hits = bool(record_absorption_times)
         self.recorder = event_recorder
         self.keep_chains = bool(checkpoint_chains)
 
@@ -205,8 +228,6 @@ class _Run:
             raise ValueError("census grid must be strictly increasing")
         if self.grid and (self.grid[0] < 0 or self.grid[-1] > self.horizon + TIE_EPS):
             raise ValueError("census grid must lie within [0, horizon]")
-        if self.bridge and self.M is None:
-            raise ValueError("bridge_correction requires truncation_M")
 
         self.h_x0 = ground_state_h(self.x0, params)
         self.absorbed = 0
@@ -216,50 +237,43 @@ class _Run:
         self.n_events = 0
         self.next_id = 1
         self.status = "ok"
-        self.hit_times: list[np.ndarray] = []
 
-        # Active cohort (parallel arrays).
-        self.pos = np.array([self.x0])
-        self.pid = np.array([0], np.int64)
-        self.parent = np.array([-1], np.int64)
-        self.birth = np.array([0.0])
-        self.accum = np.array([0.0])
-        self.anc = np.array([-1], np.int64)
-        self.prev_t = np.array([0.0])
-        self.prev_p = np.array([self.x0])
-        root_ok = True if self.M is None else bool(self.x0 < self.M)
-        self.flag = np.array([root_ok])
-        self.ratio = np.array([self.x0])  # check at time 0: pos/(1+0)
+        # The active cohort: the root particle, checked at time 0.
+        co = _Cohort.zeros(1)
+        co.pos[0] = co.ratio[0] = self.x0
+        co.flag[0] = self.M is None or self.x0 < self.M
+        co.parent[0] = co.anc[0] = -1
         # When the first census is strictly after t=0, the time-0 check must
         # surface in that census's checkpoint rows: pre-seed it as chain
         # entry 0 of the first interval.  A census at t=0 records it itself.
-        first_at_zero = bool(self.grid) and self.grid[0] == 0.0
-        self.chain = np.array([-1 if first_at_zero else 0], np.int64)
+        co.chain[0] = -1 if self.grid and self.grid[0] == 0.0 else 0
+        self.co = co
 
         self.censuses: list[Census] = []
         self.trace_rows: list[tuple] = []
 
-    # -- truncation curve -------------------------------------------------
-
-    def _curve(self, times: np.ndarray) -> np.ndarray:
-        return self.M * (1.0 + times**0.75)
-
     # -- one inter-census interval ----------------------------------------
 
-    def _advance(self, t_end: float) -> bool:
-        """Advance every active particle to t_end; False on cap abort."""
+    def _advance(self, t_start: float, t_end: float):
+        """Advance every active particle from t_start to t_end.
+
+        Returns the particles alive at t_end and the checkpoint rows (time,
+        position, previous row) that their chains point into; None on cap
+        abort, with the cohort left as it was at the aborted phase.
+        """
         p = self.params
         rng = self.rng
         single_child = len(p.offspring.pmf) == 1
         support = p.offspring.support
         probs = p.offspring.probs
 
-        parked: list[tuple] = []
+        parked: list[_Cohort] = []
         ct_t: list[np.ndarray] = []
         ct_p: list[np.ndarray] = []
         ct_prev: list[np.ndarray] = []
         ct_len = 0
-        if self.keep_chains and self.pos.size and np.any(self.chain >= 0):
+        co = self.co
+        if self.keep_chains and co.size and np.any(co.chain >= 0):
             # Pre-seeded root checkpoint (time-0 check before the first census).
             ct_t.append(np.array([0.0]))
             ct_p.append(np.array([self.x0]))
@@ -268,170 +282,100 @@ class _Run:
 
         # Particles enter an interval synchronized at the previous census,
         # so every remaining-time starts at the full interval length.
-        rem = np.full(self.pos.shape[0], self._rem0(t_end))
+        rem = np.full(co.size, t_end - t_start)
 
-        while self.pos.size:
-            n = self.pos.size
+        while co.size:
+            n = co.size
             if self.n_events + n > self.cap:
                 self.status = "population_cap_exceeded"
-                return False
+                self.co = co
+                return None
             self.n_events += n
 
             E = rng.exponential(scale=1.0 / p.r, size=n)
             branch_first = E <= rem + TIE_EPS
             dt = np.minimum(E, rem)
-            survived, newpos, hit = sample_killed_steps_batch(
-                self.pos, dt, p, rng, materialize_hit_times=self.record_hits
-            )
-
-            n_abs = int((~survived).sum())
-            self.absorbed += n_abs
-            if self.record_hits and n_abs:
-                start = t_end - rem
-                self.hit_times.append((start + hit)[~survived])
+            survived, co.pos = sample_killed_steps_batch(co.pos, dt, p, rng)
+            self.absorbed += int((~survived).sum())
 
             if not survived.any():
-                self._clear_cohort()
                 break
             sv = np.flatnonzero(survived)
             z = (t_end - rem + dt)[sv]
-            ypos = newpos[sv]
-            ratio_new = ypos / (1.0 + z**0.75)
-            self.ratio[sv] = np.maximum(self.ratio[sv], ratio_new)
+            ratio_new = co.pos[sv] / (1.0 + z**0.75)
+            co.ratio[sv] = np.maximum(co.ratio[sv], ratio_new)
             if self.M is not None:
-                ok = ratio_new < self.M
-                if self.bridge:
-                    u = rng.random(sv.size)
-                    tau = z - self.prev_t[sv]
-                    l0 = self._curve(self.prev_t[sv])
-                    l1 = self._curve(z)
-                    gap0 = l0 - self.prev_p[sv]
-                    gap1 = l1 - ypos
-                    eligible = (tau > 0) & (gap0 > 0) & (gap1 > 0)
-                    with np.errstate(divide="ignore", over="ignore"):
-                        pesc = np.exp(-2.0 * gap0 * gap1 / np.where(tau > 0, tau, 1.0))
-                    ok &= ~(eligible & (u < pesc))
-                self.flag[sv] &= ok
-            self.prev_t[sv] = z
-            self.prev_p[sv] = ypos
+                co.flag[sv] &= ratio_new < self.M
 
             park = sv[~branch_first[sv]]
             if park.size:
-                parked.append((
-                    newpos[park], self.flag[park], self.ratio[park],
-                    self.pid[park], self.parent[park], self.birth[park],
-                    self.anc[park], self.chain[park],
-                    self.accum[park] + dt[park],
-                    self.prev_t[park], self.prev_p[park],
-                ))
+                arrived = co.take(park)
+                arrived.accum += dt[park]
+                parked.append(arrived)
 
             br = sv[branch_first[sv]]
             if br.size == 0:
-                self._clear_cohort()
                 break
             if single_child:
                 m = np.full(br.size, int(support[0]), np.int64)
             else:
                 m = rng.choice(support, size=br.size, p=probs)
             if self.recorder is not None:
-                self.recorder.record(self.accum[br] + E[br], m, (t_end - rem + dt)[br])
+                self.recorder.record(co.accum[br] + E[br], m, (t_end - rem + dt)[br])
             has_kids = m >= 1
             self.branched += int(has_kids.sum())
             self.died_childless += int((~has_kids).sum())
             bi = br[has_kids]
             if bi.size == 0:
-                self._clear_cohort()
                 break
             counts = m[has_kids].astype(np.int64)
             zb = (t_end - rem + dt)[bi]
-            if self.keep_chains:
-                ct_t.append(zb)
-                ct_p.append(newpos[bi])
-                ct_prev.append(self.chain[bi])
-                new_chain = ct_len + np.arange(bi.size, dtype=np.int64)
-                ct_len += bi.size
-
             total = int(counts.sum())
-            rep = np.repeat(np.arange(bi.size), counts)
             child_rem = np.repeat(rem[bi] - dt[bi], counts)
-            self.pos = np.repeat(newpos[bi], counts)
-            self.flag = np.repeat(self.flag[bi], counts)
-            self.ratio = np.repeat(self.ratio[bi], counts)
-            self.parent = np.repeat(self.pid[bi], counts)
-            self.pid = self.next_id + np.arange(total, dtype=np.int64)
+            kids = co.take(bi).repeat(counts)  # each child starts as a copy of its parent
+            kids.parent = kids.pid
+            kids.pid = self.next_id + np.arange(total, dtype=np.int64)
             self.next_id += total
             self.created += total
-            self.birth = np.repeat(zb, counts)
-            self.anc = np.repeat(self.anc[bi], counts)
-            self.chain = new_chain[rep] if self.keep_chains else np.full(total, -1, np.int64)
-            self.accum = np.zeros(total)
-            self.prev_t = np.repeat(zb, counts)
-            self.prev_p = self.pos.copy()
+            kids.birth = np.repeat(zb, counts)
+            kids.accum = np.zeros(total)
+            if self.keep_chains:
+                ct_t.append(zb)
+                ct_p.append(co.pos[bi])
+                ct_prev.append(co.chain[bi])
+                kids.chain = np.repeat(ct_len + np.arange(bi.size, dtype=np.int64), counts)
+                ct_len += bi.size
 
             at_boundary = child_rem <= 0.0
             if at_boundary.any():
-                k = np.flatnonzero(at_boundary)
-                parked.append((
-                    self.pos[k], self.flag[k], self.ratio[k],
-                    self.pid[k], self.parent[k], self.birth[k],
-                    self.anc[k], self.chain[k], self.accum[k],
-                    self.prev_t[k], self.prev_p[k],
-                ))
+                parked.append(kids.take(at_boundary))
             keep = ~at_boundary
-            self._filter_cohort(keep)
+            co = kids.take(keep)
             rem = child_rem[keep]
 
-        self._parked = parked
-        self._ct = (
+        ct = (
             np.concatenate(ct_t) if ct_t else np.empty(0),
             np.concatenate(ct_p) if ct_p else np.empty(0),
             np.concatenate(ct_prev) if ct_prev else np.empty(0, np.int64),
         )
-        return True
-
-    def _rem0(self, t_end: float) -> float:
-        return t_end - self._t_now
-
-    def _clear_cohort(self) -> None:
-        self._filter_cohort(np.zeros(self.pos.size, dtype=bool))
-
-    def _filter_cohort(self, keep: np.ndarray) -> None:
-        for name in ("pos", "flag", "ratio", "pid", "parent", "birth",
-                     "anc", "chain", "accum", "prev_t", "prev_p"):
-            setattr(self, name, getattr(self, name)[keep])
+        return _Cohort.concat(parked), ct
 
     # -- census assembly ---------------------------------------------------
 
-    def _gather_parked(self) -> tuple:
-        if not self._parked:
-            e = np.empty(0)
-            ei = np.empty(0, np.int64)
-            eb = np.empty(0, dtype=bool)
-            return (e, eb, e, ei, ei, e, ei, ei, e, e, e)
-        return tuple(np.concatenate(c) for c in zip(*self._parked))
-
-    def _emit_census(self, t_c: float, initial: bool = False) -> None:
-        if initial:
-            pos, flg, rat = self.pos, self.flag, self.ratio
-            pid, par, bth = self.pid, self.parent, self.birth
-            anc = self.anc
-            chain = np.full(pos.size, -1, np.int64)
-            ct_t = ct_p = np.empty(0)
-            ct_prev = np.empty(0, np.int64)
-        else:
-            (pos, flg, rat, pid, par, bth, anc, chain,
-             accum, prv_t, prv_p) = self._gather_parked()
-            ct_t, ct_p, ct_prev = self._ct
-
-        nslots = pos.size
+    def _emit_census(self, t_c: float, co: _Cohort, ct=None) -> None:
+        """Record co as the census at t_c and make it the next interval's
+        cohort.  ct holds the checkpoint rows co's chains point into; None
+        when no chain points anywhere."""
+        nslots = co.size
         slots = np.arange(nslots, dtype=np.int64)
         if self.keep_chains:
             chk_slot = [slots]
             chk_time = [np.full(nslots, t_c)]
-            chk_pos = [pos]
-            ci = chain.copy()
+            chk_pos = [co.pos]
+            ci = co.chain.copy()
             live = ci >= 0
             while live.any():
+                ct_t, ct_p, ct_prev = ct
                 idx = ci[live]
                 chk_slot.append(slots[live])
                 chk_time.append(ct_t[idx])
@@ -441,15 +385,15 @@ class _Run:
 
         census = Census(
             time=t_c,
-            alive_positions=pos,
-            truncated_flags=flg.astype(bool),
+            alive_positions=co.pos,
+            truncated_flags=co.flag.copy(),  # the cohort's flags change in place
             absorbed_count=self.absorbed,
             extinct=bool(nslots == 0),
-            ids=pid,
-            parent_ids=par,
-            birth_times=bth,
-            ancestor_index=anc,
-            window_ratio=rat,
+            ids=co.pid,
+            parent_ids=co.parent,
+            birth_times=co.birth,
+            ancestor_index=co.anc,
+            window_ratio=co.ratio,
             chk_slot=np.concatenate(chk_slot) if self.keep_chains else None,
             chk_time=np.concatenate(chk_time) if self.keep_chains else None,
             chk_pos=np.concatenate(chk_pos) if self.keep_chains else None,
@@ -458,19 +402,11 @@ class _Run:
         self.censuses.append(census)
         self._append_trace(census)
 
-        if not initial:
-            # Re-seed the cohort for the next interval.
-            self.pos, self.flag = pos, flg
-            self.pid, self.parent, self.birth = pid, par, bth
-            self.accum = accum
-            self.prev_t, self.prev_p = prv_t, prv_p
-            self.anc = slots.copy()
-            self.ratio = np.zeros(nslots)
-            self.chain = np.full(nslots, -1, np.int64)
-        else:
-            self.anc = np.zeros(1, np.int64) if nslots else np.empty(0, np.int64)
-            self.ratio = np.zeros(nslots)
-            self.chain = np.full(nslots, -1, np.int64)
+        # Re-seed the cohort for the next interval.
+        co.anc = slots
+        co.ratio = np.zeros(nslots)
+        co.chain = np.full(nslots, -1, np.int64)
+        self.co = co
 
     def _append_trace(self, census: Census) -> None:
         p = self.params
@@ -481,50 +417,30 @@ class _Run:
         counts = tuple(int(B.indicator(census.alive_positions).sum()) for B in self.sets)
         self.trace_rows.append((census.time, d, d_tr, census.alive_positions.size, counts))
 
-    def _emit_empty_census(self, t_c: float) -> None:
-        e = np.empty(0)
-        ei = np.empty(0, np.int64)
-        census = Census(
-            time=t_c, alive_positions=e, truncated_flags=e.astype(bool),
-            absorbed_count=self.absorbed, extinct=True, ids=ei, parent_ids=ei,
-            birth_times=e, ancestor_index=ei, window_ratio=e,
-            chk_slot=ei if self.keep_chains else None,
-            chk_time=e if self.keep_chains else None,
-            chk_pos=e if self.keep_chains else None,
-            truncation_M=self.M,
-        )
-        self.censuses.append(census)
-        self._append_trace(census)
-
     # -- driver -------------------------------------------------------------
 
     def run(self) -> ReplicateResult:
-        self._t_now = 0.0
+        t_now = 0.0
         grid = list(self.grid)
         if grid and grid[0] == 0.0:
-            self._emit_census(0.0, initial=True)
+            self._emit_census(0.0, self.co)
             grid = grid[1:]
         boundaries = grid + ([] if grid and grid[-1] >= self.horizon - TIE_EPS else [self.horizon])
         n_census = len(grid)
         for i, t_end in enumerate(boundaries):
-            emit = i < n_census
-            if self.pos.size == 0:
-                if emit:
-                    self._emit_empty_census(t_end)
-                self._t_now = t_end
-                continue
-            ok = self._advance(t_end)
-            if not ok:
-                break
-            if emit:
-                self._emit_census(t_end)
+            alive, ct = self.co, None
+            if alive.size:
+                step = self._advance(t_now, t_end)
+                if step is None:
+                    break
+                alive, ct = step
+            if i < n_census:
+                self._emit_census(t_end, alive, ct)
             else:
-                # Horizon tail beyond the last census: park the survivors
-                # back into the cohort without a census.
-                (self.pos, self.flag, self.ratio, self.pid, self.parent,
-                 self.birth, self.anc, self.chain, self.accum,
-                 self.prev_t, self.prev_p) = self._gather_parked()
-            self._t_now = t_end
+                # Horizon tail beyond the last census: the survivors go back
+                # into the cohort without a census.
+                self.co = alive
+            t_now = t_end
 
         trace = MartingaleTrace(
             times=np.array([row[0] for row in self.trace_rows]),
@@ -541,7 +457,7 @@ class _Run:
             "absorbed": self.absorbed,
             "died_childless": self.died_childless,
             "branched": self.branched,
-            "alive_final": int(self.censuses[-1].alive_positions.size) if self.censuses else int(self.pos.size),
+            "alive_final": int(self.censuses[-1].alive_positions.size) if self.censuses else int(self.co.size),
         }
         return ReplicateResult(
             censuses=self.censuses,
@@ -549,8 +465,6 @@ class _Run:
             status=self.status,
             n_events=self.n_events,
             counters=counters,
-            absorption_times=(np.concatenate(self.hit_times) if self.hit_times else np.empty(0))
-            if self.record_hits else None,
         )
 
 
@@ -564,8 +478,6 @@ def run_replicate(
     *,
     interval_sets=(),
     population_cap: int = 10_000_000,
-    bridge_correction: bool = False,
-    record_absorption_times: bool = False,
     event_recorder: EventRecorder | None = None,
     checkpoint_chains: bool = True,
 ) -> ReplicateResult:
@@ -575,13 +487,10 @@ def run_replicate(
     [0, horizon]).  truncation_M switches on run-time window flags for
     J^M_s = [0, M(1+s^{3/4})), checked at every event and census time only
     (a path that leaves and re-enters between checks keeps its flag, so
-    D_trunc is biased upward; see window_escape_bounds);
-    bridge_correction additionally marks a particle as escaped with the
-    exact Brownian-bridge crossing probability of the chord between
-    consecutive check points (the chord lies below the concave boundary,
-    so corrected counts are a stochastic lower bound).  Exceeding
-    population_cap cumulative particle-events aborts the replicate with
-    status "population_cap_exceeded" and partial censuses.
+    D_trunc is biased upward; window_escape_bounds brackets the
+    path-continuous escape after the fact).  Exceeding population_cap
+    cumulative particle-events aborts the replicate with status
+    "population_cap_exceeded" and partial censuses.
 
     checkpoint_chains=False drops the per-census ancestral checkpoint
     tables, whose size is O(alive particles x branch generations) and
@@ -594,8 +503,7 @@ def run_replicate(
         raise ValueError("run_replicate requires an rng; see spawn_rng_stream")
     return _Run(
         params, x0, horizon, census_grid, truncation_M, rng, interval_sets,
-        population_cap, bridge_correction, record_absorption_times, event_recorder,
-        checkpoint_chains,
+        population_cap, event_recorder, checkpoint_chains,
     ).run()
 
 

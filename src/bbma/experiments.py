@@ -734,8 +734,8 @@ def suite_killed_position_ks(params: ModelParams, n: int, rng: np.random.Generat
     """KS test of surviving killed-step positions against the conditional CDF
     killed_cdf/survival_probability.  position_offset is a sensitivity
     control for tests: a nonzero offset must make the suite fail."""
-    survived, pos, _ = sample_killed_steps_batch(
-        np.full(n, float(x)), np.full(n, float(t)), params, rng, materialize_hit_times=False
+    survived, pos = sample_killed_steps_batch(
+        np.full(n, float(x)), np.full(n, float(t)), params, rng
     )
     ys = pos[survived] + position_offset
     sp = float(survival_probability(x, t, params))
@@ -769,8 +769,8 @@ def suite_killed_position_ks(params: ModelParams, n: int, rng: np.random.Generat
 def suite_survival_binomial(params: ModelParams, n: int, rng: np.random.Generator,
                             x: float = 1.0, t: float = 1.0) -> dict:
     """Survival indicator of the killed step against Binomial(n, sp)."""
-    survived, _, _ = sample_killed_steps_batch(
-        np.full(n, float(x)), np.full(n, float(t)), params, rng, materialize_hit_times=False
+    survived, _ = sample_killed_steps_batch(
+        np.full(n, float(x)), np.full(n, float(t)), params, rng
     )
     sp = float(survival_probability(x, t, params))
     res = stats.binomtest(int(survived.sum()), n, p=sp)

@@ -9,16 +9,15 @@ Everything here is in closed form or exact-sampling form:
                   an inverse Gaussian with mean x/c and shape x^2.
 
 The killed-step sampler is exact for any step length: survival is decided by
-the closed-form probability, the surviving position by rejection from the
+the closed-form probability and the surviving position by rejection from the
 free Gaussian proposal (the acceptance probability 1 - e^{-2xy/t} is the
-probability that a Brownian bridge from x to y stays positive), and the
-hitting time, conditionally on absorption, by inverse-CDF bisection.
+probability that a Brownian bridge from x to y stays positive).  Unconditional
+hitting times are inverse-Gaussian draws via Generator.wald.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
@@ -27,19 +26,15 @@ from .model import IntervalSet, ModelParams, ground_state_h
 
 # Rejection sampling is abandoned (pathology) after this many proposals.
 REJECTION_CAP = 10**6
-# Bisection for hitting times stops at this relative width.
-BISECT_REL_TOL = 1e-12
 # Survival formula: warn if the Gaussian-difference cancellation exceeds this.
 CANCELLATION_REL_TOL = 1e-9
 
 __all__ = [
-    "KilledStepSample",
     "survival_probability",
     "killed_density",
     "killed_cdf",
     "first_passage_density",
     "sample_hitting_time",
-    "sample_killed_step",
     "sample_killed_steps_batch",
     "asymptotic_error_bounds",
     "survival_prefactor_error",
@@ -127,50 +122,18 @@ def first_passage_density(x, s, params: ModelParams):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class KilledStepSample:
-    """One exact step of length t: either a surviving position or a hit time."""
-
-    survived: bool
-    position: float | None = None
-    hit_time: float | None = None
-
-
-def _bisect_hit_times(x: np.ndarray, t: np.ndarray, targets: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Solve 1 - P_x(X_s > 0) = target for s in (0, t], vectorized bisection.
-
-    The hitting CDF is strictly increasing in s, so plain bisection to
-    relative width BISECT_REL_TOL * t is exact enough for any downstream use.
-    """
-    lo = np.zeros_like(t)
-    hi = t.copy()
-    # ~40 halvings reach 1e-12 relative; iterate until every width is below.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        cdf = 1.0 - survival_probability(x, mid, params)
-        go_right = cdf < targets
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-        if np.all(hi - lo <= BISECT_REL_TOL * t):
-            break
-    return 0.5 * (lo + hi)
-
-
 def sample_killed_steps_batch(
     x: np.ndarray,
     t: np.ndarray,
     params: ModelParams,
     rng: np.random.Generator,
-    materialize_hit_times: bool = True,
 ):
     """Vectorized exact killed steps for a cohort of particles.
 
-    Returns (survived, position, hit_time) arrays.  One uniform decides
-    survival against the closed-form probability; surviving positions come
-    from the Gaussian-proposal rejection loop; hit times from inverse-CDF
-    bisection on the absorbed subset.  Exactly one uniform per absorbed
-    particle is consumed whether or not hit times are materialized, so the
-    stream (and everything downstream) does not depend on that switch.
+    Returns (survived, position) arrays; position is nan where the particle
+    was absorbed.  One uniform decides survival against the closed-form
+    probability; surviving positions come from the Gaussian-proposal
+    rejection loop.
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
@@ -192,78 +155,26 @@ def sample_killed_steps_batch(
         if iters > REJECTION_CAP:
             raise RuntimeError("killed-step rejection sampler exceeded its proposal cap")
 
-    hit_time = np.full(n, np.nan)
-    absorbed = np.flatnonzero(~survived)
-    if absorbed.size:
-        u = rng.random(absorbed.size)
-        if materialize_hit_times:
-            xa, ta = x[absorbed], t[absorbed]
-            targets = u * (1.0 - sp[absorbed])
-            hit_time[absorbed] = _bisect_hit_times(xa, ta, targets, params)
-    return survived, position, hit_time
-
-
-def sample_killed_step(x: float, t: float, params: ModelParams, rng: np.random.Generator) -> KilledStepSample:
-    """One exact killed step of length t from position x."""
-    if not (x > 0 and t > 0):
-        raise ValueError("sample_killed_step requires x > 0 and t > 0")
-    sp = survival_probability(x, t, params)
-    if rng.random() < sp:
-        mean = x - params.c * t
-        sd = math.sqrt(t)
-        for _ in range(REJECTION_CAP):
-            y = mean + sd * rng.standard_normal()
-            if y <= 0:
-                continue
-            if rng.random() < -math.expm1(-2.0 * x * y / t):
-                return KilledStepSample(survived=True, position=y)
-        raise RuntimeError("killed-step rejection sampler exceeded its proposal cap")
-    target = rng.random() * (1.0 - sp)
-    hit = _bisect_hit_times(
-        np.array([x]), np.array([t]), np.array([target]), params
-    )[0]
-    return KilledStepSample(survived=False, hit_time=float(hit))
-
-
-def _hitting_time_bisection_fallback(x: float, params: ModelParams, u: float) -> float:
-    """Inverse-CDF fallback: solve 1 - P_x(X_s > 0) = u on (0, inf)."""
-    hi = 2.0 * x / params.c
-    while 1.0 - survival_probability(x, hi, params) < u:
-        hi *= 2.0
-        if hi > 1e300:
-            raise RuntimeError("hitting-time bracket expansion failed")
-    return float(
-        _bisect_hit_times(np.array([x]), np.array([hi]), np.array([u]), params)[0]
-    )
+    n_absorbed = n - int(np.count_nonzero(survived))
+    if n_absorbed:
+        # One discarded uniform per absorbed particle, drawn after the
+        # rejection loop: it keeps every run_replicate stream bit-identical
+        # (tests/test_engine.py pins them).
+        rng.random(n_absorbed)
+    return survived, position
 
 
 def sample_hitting_time(x, params: ModelParams, rng: np.random.Generator, size: int | None = None):
     """Exact draw of the absorption time from x > 0.
 
-    Transformation-with-rejection for the inverse Gaussian with mean x/c and
-    shape x^2: one squared normal gives a root of the quadratic in the
-    density's exponent; a uniform picks the root with the right probability.
-    Falls back to inverse-CDF bisection on the (rare) numerically degenerate
-    root.
+    The hitting time is inverse Gaussian with mean x/c and shape x^2;
+    Generator.wald draws it by the transformation-with-rejection method of
+    Michael, Schucany & Haas (1976).  Returns a float when size is None.
     """
-    scalar = size is None
-    n = 1 if scalar else size
     x = float(x)
     if not x > 0:
         raise ValueError("sample_hitting_time requires x > 0")
-    mean = x / params.c
-    shape = x * x
-    nu = rng.standard_normal(n)
-    y = nu * nu
-    w = mean + (mean * mean * y) / (2.0 * shape) - (mean / (2.0 * shape)) * np.sqrt(
-        4.0 * mean * shape * y + (mean * y) ** 2
-    )
-    u = rng.random(n)
-    out = np.where(u <= mean / (mean + w), w, mean * mean / np.where(w > 0, w, 1.0))
-    bad = ~(np.isfinite(w) & (w > 0))
-    for i in np.flatnonzero(bad):
-        out[i] = _hitting_time_bisection_fallback(x, params, rng.random())
-    return float(out[0]) if scalar else out
+    return rng.wald(x / params.c, x * x, size)
 
 
 def survival_prefactor_error(x, t, params: ModelParams):

@@ -186,17 +186,15 @@ def _sample_pairs_vectorized(
     common = np.zeros(n)
     end1 = np.zeros(n)
     end2 = np.zeros(n)
-    survived, ypos, _ = sample_killed_steps_batch(
-        np.full(n, float(x)), tau, params, rng, materialize_hit_times=False
-    )
+    survived, ypos = sample_killed_steps_batch(np.full(n, float(x)), tau, params, rng)
     common[survived] = ypos[survived]
 
     cont = survived & (E < t)  # split strictly before the horizon
     idx = np.flatnonzero(cont)
     if idx.size:
         dt = t - tau[idx]
-        s1, p1, _ = sample_killed_steps_batch(ypos[idx], dt, params, rng, materialize_hit_times=False)
-        s2, p2, _ = sample_killed_steps_batch(ypos[idx], dt, params, rng, materialize_hit_times=False)
+        s1, p1 = sample_killed_steps_batch(ypos[idx], dt, params, rng)
+        s2, p2 = sample_killed_steps_batch(ypos[idx], dt, params, rng)
         end1[idx[s1]] = p1[s1]
         end2[idx[s2]] = p2[s2]
     whole = survived & ~(E < t)  # never split: both spines coincide

@@ -41,7 +41,9 @@ from bbma.experiments import (
 from bbma.kernel import asymptotic_error_bounds, first_passage_density, survival_prefactor_error
 
 REF = ModelParams(c=1.0, r=1.5, offspring=OffspringLaw.dyadic())
-SUBCRIT = ModelParams(c=1.0, r=0.6, offspring=OffspringLaw.dyadic())
+# r(mu1 - 1) - c^2/2 = +0.1: supercritical, growing slowly enough that
+# short horizons keep its populations small
+MILD_SUPERCRIT = ModelParams(c=1.0, r=0.6, offspring=OffspringLaw.dyadic())
 AXIS = IntervalSet.positive_axis()
 
 X_GRID = (0.5, 1.0, 2.0, 5.0)
@@ -87,12 +89,12 @@ def test_03_mean_count_matches_first_moment_oracle():
     n = 10**4
     alive = np.empty((n, len(grid)))
     for i in range(n):
-        res = run_replicate(SUBCRIT, 1.0, grid[-1], grid, None,
+        res = run_replicate(MILD_SUPERCRIT, 1.0, grid[-1], grid, None,
                             spawn_rng_stream(812, i), checkpoint_chains=False)
         alive[i] = res.trace.n_alive
     zmax = 0.0
     for j, t in enumerate(grid):
-        exact = expected_count(1.0, t, AXIS, SUBCRIT)
+        exact = expected_count(1.0, t, AXIS, MILD_SUPERCRIT)
         se = alive[:, j].std(ddof=1) / math.sqrt(n)
         zmax = max(zmax, abs(alive[:, j].mean() - exact) / se)
     elapsed = time.perf_counter() - t0
@@ -105,13 +107,13 @@ def test_04_second_moment_engine_oracle_and_spine_agree():
     n = 10**5
     sq = np.empty(n)
     for i in range(n):
-        res = run_replicate(SUBCRIT, 1.0, 1.0, [1.0], None,
+        res = run_replicate(MILD_SUPERCRIT, 1.0, 1.0, [1.0], None,
                             spawn_rng_stream(823, i), checkpoint_chains=False)
         sq[i] = float(res.trace.n_alive[-1]) ** 2
-    exact = second_moment_exact(1.0, 1.0, SUBCRIT)
+    exact = second_moment_exact(1.0, 1.0, MILD_SUPERCRIT)
     z_engine = abs(sq.mean() - exact) / (sq.std(ddof=1) / math.sqrt(n))
 
-    est, se = spine_second_moment_mc(1.0, 1.0, AXIS, AXIS, SUBCRIT, 10**6,
+    est, se = spine_second_moment_mc(1.0, 1.0, AXIS, AXIS, MILD_SUPERCRIT, 10**6,
                                      spawn_rng_stream(814, 0))
     z_spine = abs(est - exact) / se
     elapsed = time.perf_counter() - t0

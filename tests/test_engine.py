@@ -69,6 +69,28 @@ def test_replicate_bit_identical_reruns():
     np.testing.assert_array_equal(res1.trace.d, res2.trace.d)
 
 
+# busy_replicate's n_events, counters and float.hex of each census D at three
+# seeds (seed 0 goes extinct).  Any change to the draw order or to the cohort
+# bookkeeping moves them.
+PINNED_STREAMS = {
+    0: (34, {"created": 29, "absorbed": 15, "died_childless": 0, "branched": 14, "alive_final": 0},
+        ["0x1.0000000000000p+0", "0x1.2e3081f3b0d84p-1", "0x1.ea8fb76388eaep-3", "0x0.0p+0", "0x0.0p+0"]),
+    2: (615, {"created": 517, "absorbed": 76, "died_childless": 0, "branched": 258, "alive_final": 183},
+        ["0x1.0000000000000p+0", "0x1.102a6bec5f008p+4", "0x1.1099f6541ad6dp+5",
+         "0x1.24a20fd66d8e5p+5", "0x1.47da6f8f2be8ap+4"]),
+    36: (394, {"created": 349, "absorbed": 39, "died_childless": 0, "branched": 174, "alive_final": 136},
+         ["0x1.0000000000000p+0", "0x1.abe94cc8823ecp+2", "0x1.805fc2a5b0008p+2",
+          "0x1.540f56e9b3a50p+4", "0x1.f9071641fbfdap+5"]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_STREAMS))
+def test_replicate_stream_pinned(seed):
+    res, _ = busy_replicate(seed=seed)
+    d_hex = [float.hex(float(d)) for d in res.trace.d]
+    assert (res.n_events, res.counters, d_hex) == PINNED_STREAMS[seed]
+
+
 def test_replicates_independent_of_execution_order():
     p = params(r=1.2)
 
@@ -116,16 +138,6 @@ def test_population_accounting_identity():
                                 + k["died_childless"] + k["branched"]), k
 
 
-def test_particles_accessor():
-    res, _ = busy_replicate()
-    cen = res.censuses[-1]
-    parts = cen.particles()
-    assert len(parts) == cen.alive_positions.size
-    for p_, x, f in zip(parts, cen.alive_positions, cen.truncated_flags):
-        assert p_.position == x and p_.truncation_ok == f
-        assert p_.birth_time <= cen.time
-
-
 def test_hereditary_truncation_flags():
     # A child's ok-flag implies its census-ancestor's flag one census back.
     res, _ = busy_replicate(seed=11, M=2.0)
@@ -145,8 +157,6 @@ def test_grid_validation():
         run_replicate(p, 1.0, 2.0, [1.0, 5.0], None, rng)          # beyond horizon
     with pytest.raises(ValueError):
         run_replicate(p, -1.0, 2.0, [1.0], None, rng)              # bad start
-    with pytest.raises(ValueError):
-        run_replicate(p, 1.0, 2.0, [1.0], None, rng, bridge_correction=True)
     with pytest.raises(ValueError):
         run_replicate(p, 1.0, 2.0, [1.0], None, None)              # rng required
 
@@ -314,17 +324,6 @@ def test_truncated_martingale_M_mismatch_rejected():
     res, p = busy_replicate(seed=1, M=3.0)
     with pytest.raises(ValueError):
         truncated_martingale(res.censuses[-1], p, 1.0, M=2.0)
-
-
-def test_bridge_correction_is_conservative():
-    # The chord correction can only mark more escapes, never fewer, than the
-    # same-seed run without it: compare via post-hoc flags on shared paths.
-    res_plain, p = busy_replicate(seed=6, M=2.0)
-    res_bridge, _ = busy_replicate(seed=6, M=2.0, bridge_correction=True)
-    assert res_bridge.status == "ok"
-    for cen, tr_d, tr_dt in zip(res_bridge.censuses, res_bridge.trace.d,
-                                res_bridge.trace.d_trunc):
-        assert tr_dt <= tr_d + 1e-15
 
 
 @given(st.integers(0, 10_000))
