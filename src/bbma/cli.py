@@ -83,7 +83,6 @@ class RunConfig:
     sets: tuple[str, ...] = ()
     out: str = "."
     format: str = "csv"
-    threads: int = 1
     c_grid: tuple[float, ...] | None = None
     r_grid: tuple[float, ...] | None = None
     k_max: int = 1000
@@ -130,8 +129,7 @@ class RunConfig:
 
 
 _FLOAT_KEYS = {"c", "r", "x0", "horizon", "census_dt", "truncation_M", "delta"}
-_INT_KEYS = {"replicates", "seed", "threads", "k_max"}
-_STR_KEYS = {"offspring", "out", "format"}
+_INT_KEYS = {"replicates", "seed", "k_max"}
 _GRID_KEYS = {"census_grid", "c_grid", "r_grid"}
 
 
@@ -215,7 +213,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         "x0": args.x0, "horizon": args.horizon, "census_dt": args.census_dt,
         "replicates": args.replicates, "seed": args.seed,
         "truncation_M": args.trunc_M, "out": args.out, "format": args.format,
-        "threads": args.threads,
     }
     for key in ("c_grid", "r_grid", "k_max", "delta"):
         if hasattr(args, key) and getattr(args, key) is not None:
@@ -275,12 +272,13 @@ def _jsonl(records: list[dict]) -> str:
 
 
 def _emit(cfg: RunConfig, censuses_rows, censuses_header, summary_rows, summary_header, records):
+    """Write the output files; report.jsonl opens with the config echo."""
     try:
         os.makedirs(cfg.out, exist_ok=True)
         if cfg.format == "csv" and censuses_rows is not None:
             _write(os.path.join(cfg.out, "censuses.csv"), _csv(censuses_rows, censuses_header))
         _write(os.path.join(cfg.out, "summary.csv"), _csv(summary_rows, summary_header))
-        _write(os.path.join(cfg.out, "report.jsonl"), _jsonl(records))
+        _write(os.path.join(cfg.out, "report.jsonl"), _jsonl([{"config": cfg.echo()}, *records]))
     except OSError as e:
         raise UsageError(f"cannot write to output directory '{cfg.out}': {e}") from None
 
@@ -293,7 +291,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     sets = cfg.interval_sets()
     grid = cfg.grid()
     n = cfg.replicates if cfg.replicates is not None else 100
-    echo = cfg.echo()
 
     crows: list[list] = []
     records: list[dict] = []
@@ -315,7 +312,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             acc["D_trunc"].append(tr.d_trunc[j])
             acc["absorbed"].append(cen.absorbed_count)
         records.append({
-            "config": echo, "replicate": i, "status": res.status,
+            "replicate": i, "status": res.status,
             "n_events": res.n_events, "counters": res.counters,
             "times": tr.times.tolist(), "alive": tr.n_alive.tolist(),
             "D": tr.d.tolist(), "D_trunc": tr.d_trunc.tolist(),
@@ -364,8 +361,7 @@ def cmd_moments(cfg: RunConfig) -> int:
         ["growth_exponent", params.growth_exponent],
         ["regime", classify_regime(params).value],
     ]
-    record = {"config": cfg.echo(), "set": B.spec_string(),
-              "values": {k: v for k, v in rows}}
+    record = {"set": B.spec_string(), "values": {k: v for k, v in rows}}
     _emit(cfg, None, None, rows, ["quantity", "value"], [record])
     return 0 if abs(mo - 1.0) <= MEAN_ONE_TOL else 2
 
@@ -380,8 +376,8 @@ def cmd_verify(cfg: RunConfig) -> int:
                      s.get("pvalue", s.get("wait_ks_pvalue", math.nan)),
                      s.get("statistic", s.get("wait_ks_statistic", math.nan)),
                      s.get("n", s.get("n_events", 0))])
-    records = [dict(s, config=cfg.echo()) for s in report.replicate_records]
-    _emit(cfg, None, None, rows, ["suite", "ok", "pvalue", "statistic", "n"], records)
+    _emit(cfg, None, None, rows, ["suite", "ok", "pvalue", "statistic", "n"],
+          report.replicate_records)
     return 0 if report.passed else 2
 
 
@@ -389,10 +385,7 @@ def cmd_kesten(cfg: RunConfig) -> int:
     params = cfg.params()
     sets = cfg.interval_sets() or (IntervalSet.parse("1,inf"),)
     n = cfg.replicates if cfg.replicates is not None else 2000
-    report = experiment_kesten(params, cfg.x0, list(sets), cfg.horizon, n, cfg.seed,
-                               threads=cfg.threads)
-    echo = cfg.echo()
-    records = [dict(rec, config=echo) for rec in report.replicate_records]
+    report = experiment_kesten(params, cfg.x0, list(sets), cfg.horizon, n, cfg.seed)
 
     crows = None
     cheader = None
@@ -419,7 +412,7 @@ def cmd_kesten(cfg: RunConfig) -> int:
             ])
     sheader = ["time", "set", "surviving_fraction", "mean_abs_gap", "se_abs_gap",
                "n_survivors", "median_abs_gap", "mean_R_minus_pred_all", "se_R_minus_pred_all"]
-    _emit(cfg, crows, cheader, srows, sheader, records)
+    _emit(cfg, crows, cheader, srows, sheader, report.replicate_records)
     return 0 if report.passed else 2
 
 
@@ -429,17 +422,15 @@ def cmd_phase(cfg: RunConfig) -> int:
     r_grid = list(cfg.r_grid) if cfg.r_grid is not None else [cfg.r]
     n = cfg.replicates if cfg.replicates is not None else 500
     report = experiment_phase_diagram(c_grid, r_grid, params.offspring, cfg.x0,
-                                      cfg.horizon, n, cfg.seed, threads=cfg.threads)
+                                      cfg.horizon, n, cfg.seed)
     rows = []
     for cell in report.aggregates["cells"]:
         rows.append([cell["c"], cell["r"], cell["regime"], cell["horizon"], cell["n"],
                      cell["survived"], cell["frequency"],
                      cell.get("binomial_p", math.nan), cell["ok"]])
-    echo = cfg.echo()
-    records = [dict(cell, config=echo) for cell in report.aggregates["cells"]]
     _emit(cfg, None, None, rows,
           ["c", "r", "regime", "horizon", "n", "survived", "frequency", "binomial_p", "ok"],
-          records)
+          report.aggregates["cells"])
     return 0 if report.passed else 2
 
 
@@ -450,7 +441,6 @@ def cmd_schedule(cfg: RunConfig) -> int:
     for i, (t, s, M) in enumerate(rep["schedule"]):
         rows.append([i + 2, t, s, M, rep["t3_partial_sums"][i]])
     record = {
-        "config": cfg.echo(),
         "k_max": rep["k_max"], "delta": rep["delta"],
         "growth_exponent": rep["growth_exponent"],
         "gap_turnover_k": rep["gap_turnover_k"],
@@ -498,7 +488,7 @@ def _make_parser() -> _Parser:
         sp.add_argument("--out", help="output directory (default .)")
         sp.add_argument("--format", choices=["csv", "jsonl"],
                         help="csv also writes censuses.csv; jsonl skips it")
-        sp.add_argument("--threads", type=int, help="worker threads (default 1)")
+        sp.add_argument("--threads", type=_threads_arg, help="accepted for compatibility; only 1")
         if name == "phase":
             sp.add_argument("--c-grid", dest="c_grid", type=_grid_arg,
                             help="comma-separated drift grid")
@@ -508,6 +498,12 @@ def _make_parser() -> _Parser:
             sp.add_argument("--k-max", dest="k_max", type=int, help="schedule length (default 1000)")
             sp.add_argument("--delta", type=float, help="window-size slope (default 1)")
     return p
+
+
+def _threads_arg(raw: str) -> int:
+    if raw.strip() != "1":
+        raise argparse.ArgumentTypeError(f"runs are single-threaded; got '{raw}', only 1 is accepted")
+    return 1
 
 
 def _grid_arg(raw: str) -> tuple[float, ...]:

@@ -14,7 +14,9 @@ previous census.  Truncated counts and martingales are therefore
 recomputable for any window size (and any clock shift) from one set of
 paths: as 0/1 flags judged at the checkpoints (truncation_flags_for), or
 as bracketed conditional probabilities of the path-continuous escape
-(window_escape_bounds).
+(window_escape_bounds).  A run's own window flags are the same
+checkpoint-only flags, derived at each census by the truncation_flags_for
+rule.
 """
 from __future__ import annotations
 
@@ -77,9 +79,6 @@ class Census:
     truncated_flags: np.ndarray
     absorbed_count: int
     extinct: bool
-    ids: np.ndarray
-    parent_ids: np.ndarray
-    birth_times: np.ndarray
     ancestor_index: np.ndarray
     window_ratio: np.ndarray
     # Ancestral checkpoint rows for shifted-window queries and escape
@@ -147,11 +146,7 @@ class EventRecorder:
 # The cohort's columns, one row per active particle.
 _COLUMNS = {
     "pos": np.float64,     # position
-    "flag": np.bool_,      # run-time window flag: every check so far inside J_M
     "ratio": np.float64,   # max of pos / (1 + t^{3/4}) over this interval's checks
-    "pid": np.int64,       # particle id
-    "parent": np.int64,    # parent's id, -1 for the root
-    "birth": np.float64,   # birth time
     "anc": np.int64,       # slot in the previous census, -1 before the first
     "chain": np.int64,     # latest checkpoint row of this interval, -1 if none;
                            # read only with checkpoint chains
@@ -235,14 +230,12 @@ class _Run:
         self.branched = 0
         self.died_childless = 0
         self.n_events = 0
-        self.next_id = 1
         self.status = "ok"
 
         # The active cohort: the root particle, checked at time 0.
         co = _Cohort.zeros(1)
         co.pos[0] = co.ratio[0] = self.x0
-        co.flag[0] = self.M is None or self.x0 < self.M
-        co.parent[0] = co.anc[0] = -1
+        co.anc[0] = -1
         # When the first census is strictly after t=0, the time-0 check must
         # surface in that census's checkpoint rows: pre-seed it as chain
         # entry 0 of the first interval.  A census at t=0 records it itself.
@@ -302,10 +295,7 @@ class _Run:
                 break
             sv = np.flatnonzero(survived)
             z = (t_end - rem + dt)[sv]
-            ratio_new = co.pos[sv] / (1.0 + z**0.75)
-            co.ratio[sv] = np.maximum(co.ratio[sv], ratio_new)
-            if self.M is not None:
-                co.flag[sv] &= ratio_new < self.M
+            co.ratio[sv] = np.maximum(co.ratio[sv], co.pos[sv] / (1.0 + z**0.75))
 
             park = sv[~branch_first[sv]]
             if park.size:
@@ -329,18 +319,13 @@ class _Run:
             if bi.size == 0:
                 break
             counts = m[has_kids].astype(np.int64)
-            zb = (t_end - rem + dt)[bi]
             total = int(counts.sum())
             child_rem = np.repeat(rem[bi] - dt[bi], counts)
             kids = co.take(bi).repeat(counts)  # each child starts as a copy of its parent
-            kids.parent = kids.pid
-            kids.pid = self.next_id + np.arange(total, dtype=np.int64)
-            self.next_id += total
             self.created += total
-            kids.birth = np.repeat(zb, counts)
             kids.accum = np.zeros(total)
             if self.keep_chains:
-                ct_t.append(zb)
+                ct_t.append((t_end - rem + dt)[bi])
                 ct_p.append(co.pos[bi])
                 ct_prev.append(co.chain[bi])
                 kids.chain = np.repeat(ct_len + np.arange(bi.size, dtype=np.int64), counts)
@@ -383,15 +368,17 @@ class _Run:
                 ci[live] = ct_prev[idx]
                 live = ci >= 0
 
+        if self.M is None:
+            flags = np.ones(nslots, dtype=bool)
+        else:
+            prev = self.censuses[-1].truncated_flags if self.censuses else None
+            flags = _inherit_flags(co.ratio < self.M, co.anc, prev)
         census = Census(
             time=t_c,
             alive_positions=co.pos,
-            truncated_flags=co.flag.copy(),  # the cohort's flags change in place
+            truncated_flags=flags,
             absorbed_count=self.absorbed,
             extinct=bool(nslots == 0),
-            ids=co.pid,
-            parent_ids=co.parent,
-            birth_times=co.birth,
             ancestor_index=co.anc,
             window_ratio=co.ratio,
             chk_slot=np.concatenate(chk_slot) if self.keep_chains else None,
@@ -484,13 +471,15 @@ def run_replicate(
     """Simulate one replicate started from a single particle at x0.
 
     Censuses are taken at the times in census_grid (sorted, within
-    [0, horizon]).  truncation_M switches on run-time window flags for
-    J^M_s = [0, M(1+s^{3/4})), checked at every event and census time only
-    (a path that leaves and re-enters between checks keeps its flag, so
-    D_trunc is biased upward; window_escape_bounds brackets the
-    path-continuous escape after the fact).  Exceeding population_cap
-    cumulative particle-events aborts the replicate with status
-    "population_cap_exceeded" and partial censuses.
+    [0, horizon]).  truncation_M switches on window flags for
+    J^M_s = [0, M(1+s^{3/4})): each census derives them from window_ratio
+    and the previous census's flags by the truncation_flags_for rule, so
+    they are checked at every event and census time only (a path that
+    leaves and re-enters between checks keeps its flag, so D_trunc is
+    biased upward; window_escape_bounds brackets the path-continuous
+    escape after the fact).  Without a window every flag is true.
+    Exceeding population_cap cumulative particle-events aborts the
+    replicate with status "population_cap_exceeded" and partial censuses.
 
     checkpoint_chains=False drops the per-census ancestral checkpoint
     tables, whose size is O(alive particles x branch generations) and
@@ -553,9 +542,9 @@ def truncated_martingale(
 def truncation_flags_for(censuses: list[Census], M: float, s: float = 0.0) -> list[np.ndarray]:
     """Recompute hereditary window flags for any (M, s) from stored censuses.
 
-    Checks exactly the run-time check set (every event and census time), so
-    s=0 with the run's M reproduces the stored flags bit for bit.  The shift
-    s slides the window clock: position < M(1 + (s + time)^{3/4}).
+    Checks every event and census time.  A run's stored flags are this rule
+    at s=0 with the run's M, so recomputing them reproduces them bit for
+    bit.  The shift s slides the window clock: position < M(1 + (s + time)^{3/4}).
 
     These are checkpoint-only flags: a path that leaves the window and
     returns between two checkpoints keeps its flag, so ~flag is a lower
@@ -565,7 +554,6 @@ def truncation_flags_for(censuses: list[Census], M: float, s: float = 0.0) -> li
     flags: list[np.ndarray] = []
     prev: np.ndarray | None = None
     for cen in censuses:
-        n = cen.alive_positions.size
         if s == 0.0:
             ok = cen.window_ratio < M
         else:
@@ -574,16 +562,21 @@ def truncation_flags_for(censuses: list[Census], M: float, s: float = 0.0) -> li
                     "shifted-window flags need checkpoint chains; "
                     "rerun with checkpoint_chains=True"
                 )
-            ok = np.ones(n, dtype=bool)
+            ok = np.ones(cen.alive_positions.size, dtype=bool)
             good = cen.chk_pos < M * (1.0 + (s + cen.chk_time) ** 0.75)
             np.logical_and.at(ok, cen.chk_slot, good)
-        if prev is not None and n:
-            anc = cen.ancestor_index
-            inherited = np.where(anc >= 0, prev[np.maximum(anc, 0)] if prev.size else True, True)
-            ok = ok & inherited
-        flags.append(ok)
-        prev = ok
+        prev = _inherit_flags(ok, cen.ancestor_index, prev)
+        flags.append(prev)
     return flags
+
+
+def _inherit_flags(ok: np.ndarray, anc: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
+    """Hereditary window rule: a particle stays flagged while its own
+    checks pass (ok) and its ancestor at the previous census (anc, -1 for
+    none) was flagged there (prev; None at the first census)."""
+    if prev is None or not ok.size:
+        return ok
+    return ok & np.where(anc >= 0, prev[np.maximum(anc, 0)] if prev.size else True, True)
 
 
 def _line_crossing_given_positive(g0, g1, x0, x1, tau):

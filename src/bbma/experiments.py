@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -83,8 +81,7 @@ class ExperimentReport:
     """Uniform result container: per-replicate records plus aggregates.
 
     passed reflects the experiment's declared contract; the thresholds it
-    was judged against are recorded verbatim in `thresholds`.  wall_clock_s
-    is informational and excluded from canonical (serialized) content.
+    was judged against are recorded verbatim in `thresholds`.
     """
 
     name: str
@@ -94,7 +91,6 @@ class ExperimentReport:
     thresholds: dict = field(default_factory=dict)
     passed: bool = False
     n_events: int = 0
-    wall_clock_s: float = 0.0
 
     def canonical_dict(self) -> dict:
         return {
@@ -121,14 +117,6 @@ def _median(values: np.ndarray) -> dict:
     values = np.asarray(values, dtype=np.float64)
     n = int(values.size)
     return {"value": float(np.median(values)) if n else math.nan, "n": n}
-
-
-def _run_indexed(job, n: int, threads: int = 1) -> list:
-    """Run job(i) for i in range(n); merge results in index order."""
-    if threads <= 1:
-        return [job(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(job, range(n)))
 
 
 def _ks_distance(positions: np.ndarray, params: ModelParams) -> float:
@@ -168,8 +156,6 @@ def experiment_kesten(
     horizon: float,
     n_replicates: int,
     seed: int,
-    *,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Trend test of normalized-count convergence on surviving replicates.
 
@@ -181,7 +167,6 @@ def experiment_kesten(
     regime = classify_regime(params)
     if regime not in (Regime.SUPERCRITICAL, Regime.L2_SUPERCRITICAL):
         raise ValueError("Kesten experiment requires a supercritical configuration")
-    t0 = time.perf_counter()
     B_list = [B if isinstance(B, IntervalSet) else IntervalSet.parse(B) for B in B_list]
     grid = [horizon * k / 4.0 for k in (1, 2, 3, 4)]
     feasible = expected_count_asymptotic(x0, horizon, IntervalSet.positive_axis(), params) <= DESK_POP_CAP
@@ -194,7 +179,6 @@ def experiment_kesten(
             name="kesten", config=_echo(params, x0=x0, horizon=horizon, n=n_replicates, seed=seed),
             aggregates={"message": f"expected population exceeds {DESK_POP_CAP:g}; infeasible at desk scale"},
             thresholds=thresholds, passed=False,
-            wall_clock_s=time.perf_counter() - t0,
         )
 
     denom = np.array([
@@ -207,7 +191,7 @@ def experiment_kesten(
         return run_replicate(params, x0, horizon, grid, None, rng, interval_sets=tuple(B_list),
                              checkpoint_chains=False)
 
-    results = _run_indexed(job, n_replicates, threads)
+    results = [job(i) for i in range(n_replicates)]
     n_events = sum(res.n_events for res in results)
 
     records = []
@@ -269,7 +253,6 @@ def experiment_kesten(
         thresholds=thresholds,
         passed=passed,
         n_events=n_events,
-        wall_clock_s=time.perf_counter() - t0,
     )
 
 
@@ -284,15 +267,12 @@ def experiment_empirical_qsd(
     horizon: float,
     n_replicates: int,
     seed: int,
-    *,
-    threads: int = 1,
 ) -> ExperimentReport:
     """KS distance between alive-position empirical CDFs and
     F(a) = 1 - (1+ca) e^{-ca}, tracked across census times on survivors."""
     regime = classify_regime(params)
     if regime not in (Regime.SUPERCRITICAL, Regime.L2_SUPERCRITICAL):
         raise ValueError("empirical-distribution experiment requires a supercritical configuration")
-    t0 = time.perf_counter()
     grid = [0.0] + [horizon * k / 4.0 for k in (1, 2, 3, 4)]
     thresholds = {
         "median_ks_final_max": load_thresholds()["qsd"]["median_ks_final"],
@@ -309,7 +289,7 @@ def experiment_empirical_qsd(
              for c in res.censuses],
         )
 
-    results = _run_indexed(job, n_replicates, threads)
+    results = [job(i) for i in range(n_replicates)]
     n_events = sum(row[0] for row in results)
     records = [
         {"replicate": i, "status": row[1], "alive": row[2].tolist(), "ks": row[3]}
@@ -346,7 +326,6 @@ def experiment_empirical_qsd(
         thresholds=thresholds,
         passed=passed,
         n_events=n_events,
-        wall_clock_s=time.perf_counter() - t0,
     )
 
 
@@ -362,15 +341,12 @@ def experiment_martingale(
     K_list,
     n: int,
     seed: int,
-    *,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Mean-one check of D_t at each horizon, uniform-integrability probe
     E[D 1{D>K}] in K at the last horizon, and the survivor frequency of
     near-zero D at the last horizon against a frozen pilot value."""
     if classify_regime(params) not in (Regime.SUPERCRITICAL, Regime.L2_SUPERCRITICAL):
         raise ValueError("martingale experiment requires a supercritical configuration")
-    t0 = time.perf_counter()
     grid = sorted(float(t) for t in horizons)
     K_list = sorted(float(k) for k in K_list)
     thresholds = {
@@ -384,7 +360,7 @@ def experiment_martingale(
         res = run_replicate(params, x0, grid[-1], grid, None, rng, checkpoint_chains=False)
         return res.n_events, res.status, res.trace.d.copy(), res.trace.n_alive.copy()
 
-    results = _run_indexed(job, n, threads)
+    results = [job(i) for i in range(n)]
     n_events = sum(row[0] for row in results)
     D = np.array([row[2] for row in results])
     alive = np.array([row[3] for row in results])
@@ -425,7 +401,6 @@ def experiment_martingale(
         thresholds=thresholds,
         passed=passed,
         n_events=n_events,
-        wall_clock_s=time.perf_counter() - t0,
     )
 
 
@@ -452,8 +427,6 @@ def experiment_truncation(
     M_list,
     n: int,
     seed: int,
-    *,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Decay of E[D - D^M] and of the relative count deficit in M.
 
@@ -471,7 +444,6 @@ def experiment_truncation(
     regression on M^2 at or above the frozen threshold).  log_fit_r2 and
     log_fit_slope report the worse end.
     """
-    t0 = time.perf_counter()
     M_list = sorted(float(M) for M in M_list)
     thresholds = {"log_fit_r2_min": load_thresholds()["truncation"]["log_fit_r2_min"]}
     B = IntervalSet.positive_axis()
@@ -490,7 +462,7 @@ def experiment_truncation(
                           lo.sum() / ec, hi.sum() / ec)
         return res.n_events, res.status, gaps, int(final.alive_positions.size)
 
-    results = _run_indexed(job, n, threads)
+    results = [job(i) for i in range(n)]
     n_events = sum(row[0] for row in results)
     gaps = np.array([row[2] for row in results])  # (n, 4, len(M_list))
     mid = {"D": 0.5 * (gaps[:, 0] + gaps[:, 1]), "N": 0.5 * (gaps[:, 2] + gaps[:, 3])}
@@ -545,7 +517,6 @@ def experiment_truncation(
         thresholds=thresholds,
         passed=passed,
         n_events=n_events,
-        wall_clock_s=time.perf_counter() - t0,
     )
 
 
@@ -562,8 +533,6 @@ def experiment_phase_diagram(
     horizon: float,
     n: int,
     seed: int,
-    *,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Survival frequency at the horizon for every (c, r) cell.
 
@@ -572,7 +541,6 @@ def experiment_phase_diagram(
     at significance 0.01, evaluated at a per-cell horizon trimmed to desk
     scale but still long enough that e^{g t} >= 50 (else flagged infeasible).
     """
-    t0 = time.perf_counter()
     cells = []
     records = []
     n_events = 0
@@ -601,7 +569,7 @@ def experiment_phase_diagram(
                     return res.n_events, 1
                 return res.n_events, int(res.trace.n_alive[-1] > 0)
 
-            out = _run_indexed(job, n, threads)
+            out = [job(i) for i in range(n)]
             n_events += sum(o[0] for o in out)
             survived = sum(o[1] for o in out)
             freq = survived / n
@@ -638,7 +606,6 @@ def experiment_phase_diagram(
         thresholds=thresholds,
         passed=all_ok,
         n_events=n_events,
-        wall_clock_s=time.perf_counter() - t0,
     )
 
 
@@ -850,7 +817,6 @@ def verify_samplers(params: ModelParams, n: int, seed: int, *,
     conditional-position KS, survival binomial, and engine-level offspring
     and wait checks.  corrupt_position_offset shifts the killed-step
     positions before testing (sensitivity fixture; nonzero must fail)."""
-    t0 = time.perf_counter()
     suites = [
         suite_hitting_time_ks(params, n, spawn_rng_stream(seed, 0)),
         suite_killed_position_ks(params, n, spawn_rng_stream(seed, 1),
@@ -867,7 +833,6 @@ def verify_samplers(params: ModelParams, n: int, seed: int, *,
         thresholds={"significance": SIGNIFICANCE},
         passed=passed,
         n_events=suites[-1]["n_events"],
-        wall_clock_s=time.perf_counter() - t0,
     )
 
 

@@ -78,7 +78,7 @@ def test_config_round_trip_exact():
     cfg = RunConfig(
         c=1.0, r=0.6, offspring="pmf:0.2,0,0.8", x0=1 / 3, horizon=7.25,
         census_grid=(1.0, 2.0, 3.5), replicates=50, seed=9, truncation_M=2.5,
-        sets=("0,1", "1,inf"), out="runs", format="jsonl", threads=2,
+        sets=("0,1", "1,inf"), out="runs", format="jsonl",
         c_grid=(0.5, 1.0), r_grid=(0.3, 1.5), k_max=20, delta=0.5,
     )
     assert RunConfig(**parse_config(cfg.to_text())) == cfg
@@ -132,6 +132,14 @@ def test_unknown_flag_exit_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_threads_flag_accepts_only_one(tmp_path, capsys):
+    args = ["moments", "--c", "1", "--r", "0.6", "--offspring", "dyadic", "--horizon", "1"]
+    assert main([*args, "--threads", "1", "--out", str(tmp_path / "one")]) == 0
+    assert main([*args, "--threads", "2", "--out", str(tmp_path / "two")]) == 1
+    assert "runs are single-threaded" in capsys.readouterr().err
+    assert not (tmp_path / "two").exists()
+
+
 def test_unknown_command_exit_1(capsys):
     assert main(["frobnicate"]) == 1
 
@@ -163,7 +171,7 @@ def test_contract_failure_exit_2(tmp_path):
     rc = main(["phase", *SUPER, "--horizon", "1", "--replicates", "10",
                "--seed", "5", "--out", str(tmp_path)])
     assert rc == 2
-    cells = [json.loads(line) for line in _read(str(tmp_path / "report.jsonl")).splitlines()]
+    _, *cells = [json.loads(line) for line in _read(str(tmp_path / "report.jsonl")).splitlines()]
     assert cells[0]["feasible"] is False
 
 
@@ -190,11 +198,12 @@ def test_simulate_files_and_headers(tmp_path):
     summ = _read(str(out / "summary.csv")).splitlines()
     assert summ[0] == ("time,n,surviving_fraction,mean_alive,se_alive,"
                        "mean_D,se_D,mean_D_trunc,mean_absorbed")
-    records = [json.loads(line) for line in _read(str(out / "report.jsonl")).splitlines()]
+    echo, *records = [json.loads(line) for line in _read(str(out / "report.jsonl")).splitlines()]
+    assert set(echo) == {"config"}
+    assert set(echo["config"]) == set(RunConfig.__dataclass_fields__)  # full self-describing echo
     assert len(records) == 5
-    field_names = set(RunConfig.__dataclass_fields__)
     for rec in records:
-        assert set(rec["config"]) == field_names  # full self-describing echo
+        assert "config" not in rec
         assert rec["status"] in ("ok", "population_cap_exceeded")
         assert rec["counters"]["created"] == (
             rec["counters"]["alive_final"] + rec["counters"]["absorbed"]
@@ -239,9 +248,9 @@ def test_flags_override_config_file(tmp_path):
     out = tmp_path / "m"
     rc = main(["moments", "--config", str(cfgfile), "--seed", "7", "--out", str(out)])
     assert rc == 0
-    rec = json.loads(_read(str(out / "report.jsonl")))
-    assert rec["config"]["seed"] == 7
-    assert rec["config"]["horizon"] == 1.0
+    echo = json.loads(_read(str(out / "report.jsonl")).splitlines()[0])
+    assert echo["config"]["seed"] == 7
+    assert echo["config"]["horizon"] == 1.0
 
 
 def test_moments_emits_exact_oracle_values(tmp_path):
@@ -270,7 +279,7 @@ def test_schedule_outputs_frozen_first_row(tmp_path):
     k, t, s, M, _ = lines[1].split(",")
     assert (int(k), float(t), float(s), float(M)) == (
         2, 0.25643596187264656, 0.23083509858308343, 0.6931471805599453)
-    rec = json.loads(_read(str(out / "report.jsonl")))
+    _, rec = (json.loads(line) for line in _read(str(out / "report.jsonl")).splitlines())
     assert rec["gap_turnover_k"] >= 2
 
 

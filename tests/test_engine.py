@@ -65,30 +65,36 @@ def test_replicate_bit_identical_reruns():
     for c1, c2 in zip(res1.censuses, res2.censuses):
         np.testing.assert_array_equal(c1.alive_positions, c2.alive_positions)
         np.testing.assert_array_equal(c1.truncated_flags, c2.truncated_flags)
-        np.testing.assert_array_equal(c1.ids, c2.ids)
     np.testing.assert_array_equal(res1.trace.d, res2.trace.d)
 
 
-# busy_replicate's n_events, counters and float.hex of each census D at three
-# seeds (seed 0 goes extinct).  Any change to the draw order or to the cohort
-# bookkeeping moves them.
+# busy_replicate's n_events, counters and float.hex of each census D and,
+# with the window M = 1.2, D_trunc at three seeds (seed 0 goes extinct).  Any
+# change to the draw order, the cohort bookkeeping or the window flags moves
+# them; the window changes no draw, so D is the same at every M.
 PINNED_STREAMS = {
     0: (34, {"created": 29, "absorbed": 15, "died_childless": 0, "branched": 14, "alive_final": 0},
+        ["0x1.0000000000000p+0", "0x1.2e3081f3b0d84p-1", "0x1.ea8fb76388eaep-3", "0x0.0p+0", "0x0.0p+0"],
         ["0x1.0000000000000p+0", "0x1.2e3081f3b0d84p-1", "0x1.ea8fb76388eaep-3", "0x0.0p+0", "0x0.0p+0"]),
     2: (615, {"created": 517, "absorbed": 76, "died_childless": 0, "branched": 258, "alive_final": 183},
         ["0x1.0000000000000p+0", "0x1.102a6bec5f008p+4", "0x1.1099f6541ad6dp+5",
-         "0x1.24a20fd66d8e5p+5", "0x1.47da6f8f2be8ap+4"]),
+         "0x1.24a20fd66d8e5p+5", "0x1.47da6f8f2be8ap+4"],
+        ["0x1.0000000000000p+0", "0x1.6540bbe84b0c9p+2", "0x1.c64cc2cb7ce49p+0",
+         "0x1.cd424d7f21047p+1", "0x1.b4beb14b6626cp+1"]),
     36: (394, {"created": 349, "absorbed": 39, "died_childless": 0, "branched": 174, "alive_final": 136},
          ["0x1.0000000000000p+0", "0x1.abe94cc8823ecp+2", "0x1.805fc2a5b0008p+2",
-          "0x1.540f56e9b3a50p+4", "0x1.f9071641fbfdap+5"]),
+          "0x1.540f56e9b3a50p+4", "0x1.f9071641fbfdap+5"],
+         ["0x1.0000000000000p+0", "0x1.abe94cc8823ecp+2", "0x1.805fc2a5b0008p+2",
+          "0x1.2e40e6a070bbep+1", "0x1.cf765471a4ba2p+1"]),
 }
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED_STREAMS))
 def test_replicate_stream_pinned(seed):
-    res, _ = busy_replicate(seed=seed)
+    res, _ = busy_replicate(seed=seed, M=1.2)
     d_hex = [float.hex(float(d)) for d in res.trace.d]
-    assert (res.n_events, res.counters, d_hex) == PINNED_STREAMS[seed]
+    d_trunc_hex = [float.hex(float(d)) for d in res.trace.d_trunc]
+    assert (res.n_events, res.counters, d_hex, d_trunc_hex) == PINNED_STREAMS[seed]
 
 
 def test_replicates_independent_of_execution_order():
@@ -139,13 +145,18 @@ def test_population_accounting_identity():
 
 
 def test_hereditary_truncation_flags():
-    # A child's ok-flag implies its census-ancestor's flag one census back.
-    res, _ = busy_replicate(seed=11, M=2.0)
-    for prev, cur in zip(res.censuses[1:], res.censuses[2:]):
-        if cur.alive_positions.size == 0:
-            continue
-        anc_ok = prev.truncated_flags[cur.ancestor_index]
-        assert np.all(~cur.truncated_flags | anc_ok)
+    # A child's ok-flag implies its census-ancestor's flag one census back;
+    # some descendants of escaped ancestors must come back inside the window.
+    returned = 0
+    for seed in range(5):
+        res, _ = busy_replicate(seed=seed, M=1.2)
+        for prev, cur in zip(res.censuses[1:], res.censuses[2:]):
+            if cur.alive_positions.size == 0:
+                continue
+            anc_ok = prev.truncated_flags[cur.ancestor_index]
+            assert np.all(~cur.truncated_flags | anc_ok)
+            returned += int((~anc_ok & (cur.window_ratio < 1.2)).sum())
+    assert returned > 0
 
 
 def test_grid_validation():
@@ -294,14 +305,33 @@ def test_empty_census_martingale():
 
 def test_shifted_truncation_s0_equals_runtime_flags():
     """Post-hoc window recomputation at s=0 must reproduce the run-time flags
-    bit for bit, for every census and several M."""
-    for seed in range(5):
-        res, _ = busy_replicate(seed=seed, M=2.5)
-        for M in (1.5, 2.5, 4.0):
-            flags = truncation_flags_for(res.censuses, M, s=0.0)
-            res_m, _ = busy_replicate(seed=seed, M=M)
-            for f, cen in zip(flags, res_m.censuses):
-                np.testing.assert_array_equal(f, cen.truncated_flags)
+    bit for bit, for every census and several M: a census grid from 0 or
+    first census after 0, p0 > 0 offspring, a cap-aborted run, and a run
+    without checkpoint chains."""
+    busy = params(r=1.5)
+    p0 = params(c=0.8, r=1.4, offspring=OffspringLaw.from_pmf({0: 0.2, 1: 0.1, 2: 0.4, 3: 0.3}))
+    cases = [  # params, x0, horizon, census grid, keywords
+        (busy, 1.0, 4.0, [0.0, 1.0, 2.0, 3.0, 4.0], {}),
+        (busy, 1.0, 4.0, [0.7, 2.0, 4.0], {}),
+        (p0, 0.9, 3.0, [0.0, 1.0, 3.0], {}),
+        (params(r=3.0), 2.0, 8.0, [1.0, 2.0, 8.0], {"population_cap": 500}),
+        (busy, 1.0, 4.0, [0.0, 1.0, 2.0, 3.0, 4.0], {"checkpoint_chains": False}),
+    ]
+    statuses, escaped = set(), 0
+    for p, x0, horizon, grid, kw in cases:
+        for seed in range(5):
+            def run(M):
+                return run_replicate(p, x0, horizon, grid, M, spawn_rng_stream(seed, 0), **kw)
+            res = run(2.5)
+            statuses.add(res.status)
+            for M in (1.2, 1.5, 2.05, 2.5, 4.0):
+                flags = truncation_flags_for(res.censuses, M, s=0.0)
+                res_m = run(M)
+                assert len(flags) == len(res_m.censuses)
+                for f, cen in zip(flags, res_m.censuses):
+                    np.testing.assert_array_equal(f, cen.truncated_flags)
+                    escaped += int((~f).sum())
+    assert "population_cap_exceeded" in statuses and escaped > 0
 
 
 def test_shifted_truncated_count_monotone_in_M():

@@ -88,14 +88,6 @@ def test_kesten_counts_additive_over_disjoint_sets():
     )
 
 
-def test_kesten_thread_count_does_not_change_results():
-    a = experiment_kesten(REF, 1.0, ["1,inf"], 6.0, 40, 13)
-    b = experiment_kesten(REF, 1.0, ["1,inf"], 6.0, 40, 13, threads=2)
-    assert json.dumps(a.canonical_dict(), sort_keys=True) == json.dumps(
-        b.canonical_dict(), sort_keys=True
-    )
-
-
 def test_kesten_axis_mean_matches_prefactor_bias():
     # On B=(0,inf) the predictor is D itself, and E[R - D] equals the
     # finite-t prefactor error EC/EC_asy - 1 exactly; test against that,
@@ -401,5 +393,4 @@ def test_verify_reports_are_reproducible(verify_report):
     rep2 = verify_samplers(REF, 20000, 5)
     a, b = verify_report.canonical_dict(), rep2.canonical_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-    assert "wall" not in json.dumps(a)  # timing is informational only
-    assert verify_report.wall_clock_s > 0.0
+    assert "wall" not in json.dumps(a)  # no timing in a report
