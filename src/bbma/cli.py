@@ -272,13 +272,14 @@ def _jsonl(records: list[dict]) -> str:
 
 
 def _emit(cfg: RunConfig, censuses_rows, censuses_header, summary_rows, summary_header, records):
-    """Write the output files; report.jsonl opens with the config echo."""
+    """Write the output files; config.json holds the config echo."""
     try:
         os.makedirs(cfg.out, exist_ok=True)
         if cfg.format == "csv" and censuses_rows is not None:
             _write(os.path.join(cfg.out, "censuses.csv"), _csv(censuses_rows, censuses_header))
         _write(os.path.join(cfg.out, "summary.csv"), _csv(summary_rows, summary_header))
-        _write(os.path.join(cfg.out, "report.jsonl"), _jsonl([{"config": cfg.echo()}, *records]))
+        _write(os.path.join(cfg.out, "report.jsonl"), _jsonl(records))
+        _write(os.path.join(cfg.out, "config.json"), _jsonl([cfg.echo()]))
     except OSError as e:
         raise UsageError(f"cannot write to output directory '{cfg.out}': {e}") from None
 
@@ -488,7 +489,8 @@ def _make_parser() -> _Parser:
         sp.add_argument("--out", help="output directory (default .)")
         sp.add_argument("--format", choices=["csv", "jsonl"],
                         help="csv also writes censuses.csv; jsonl skips it")
-        sp.add_argument("--threads", type=_threads_arg, help="accepted for compatibility; only 1")
+        sp.add_argument("--threads", type=int, choices=[1],
+                        help="runs are single-threaded; accepted for compatibility, only 1")
         if name == "phase":
             sp.add_argument("--c-grid", dest="c_grid", type=_grid_arg,
                             help="comma-separated drift grid")
@@ -498,12 +500,6 @@ def _make_parser() -> _Parser:
             sp.add_argument("--k-max", dest="k_max", type=int, help="schedule length (default 1000)")
             sp.add_argument("--delta", type=float, help="window-size slope (default 1)")
     return p
-
-
-def _threads_arg(raw: str) -> int:
-    if raw.strip() != "1":
-        raise argparse.ArgumentTypeError(f"runs are single-threaded; got '{raw}', only 1 is accepted")
-    return 1
 
 
 def _grid_arg(raw: str) -> tuple[float, ...]:

@@ -574,9 +574,9 @@ def _inherit_flags(ok: np.ndarray, anc: np.ndarray, prev: np.ndarray | None) -> 
     """Hereditary window rule: a particle stays flagged while its own
     checks pass (ok) and its ancestor at the previous census (anc, -1 for
     none) was flagged there (prev; None at the first census)."""
-    if prev is None or not ok.size:
+    if prev is None:
         return ok
-    return ok & np.where(anc >= 0, prev[np.maximum(anc, 0)] if prev.size else True, True)
+    return ok & np.where(anc >= 0, prev[np.maximum(anc, 0)], True)
 
 
 def _line_crossing_given_positive(g0, g1, x0, x1, tau):

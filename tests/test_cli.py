@@ -136,7 +136,7 @@ def test_threads_flag_accepts_only_one(tmp_path, capsys):
     args = ["moments", "--c", "1", "--r", "0.6", "--offspring", "dyadic", "--horizon", "1"]
     assert main([*args, "--threads", "1", "--out", str(tmp_path / "one")]) == 0
     assert main([*args, "--threads", "2", "--out", str(tmp_path / "two")]) == 1
-    assert "runs are single-threaded" in capsys.readouterr().err
+    assert "argument --threads: invalid choice" in capsys.readouterr().err
     assert not (tmp_path / "two").exists()
 
 
@@ -171,7 +171,7 @@ def test_contract_failure_exit_2(tmp_path):
     rc = main(["phase", *SUPER, "--horizon", "1", "--replicates", "10",
                "--seed", "5", "--out", str(tmp_path)])
     assert rc == 2
-    _, *cells = [json.loads(line) for line in _read(str(tmp_path / "report.jsonl")).splitlines()]
+    cells = [json.loads(line) for line in _read(str(tmp_path / "report.jsonl")).splitlines()]
     assert cells[0]["feasible"] is False
 
 
@@ -198,9 +198,9 @@ def test_simulate_files_and_headers(tmp_path):
     summ = _read(str(out / "summary.csv")).splitlines()
     assert summ[0] == ("time,n,surviving_fraction,mean_alive,se_alive,"
                        "mean_D,se_D,mean_D_trunc,mean_absorbed")
-    echo, *records = [json.loads(line) for line in _read(str(out / "report.jsonl")).splitlines()]
-    assert set(echo) == {"config"}
-    assert set(echo["config"]) == set(RunConfig.__dataclass_fields__)  # full self-describing echo
+    echo = json.loads(_read(str(out / "config.json")))
+    assert set(echo) == set(RunConfig.__dataclass_fields__)  # full self-describing echo
+    records = [json.loads(line) for line in _read(str(out / "report.jsonl")).splitlines()]
     assert len(records) == 5
     for rec in records:
         assert "config" not in rec
@@ -216,7 +216,7 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
             "--replicates", "5", "--seed", "42", "--set", "0,1", "--out", str(out)]
     assert main(args) == 0
     first = {name: _read(str(out / name))
-             for name in ("censuses.csv", "summary.csv", "report.jsonl")}
+             for name in ("censuses.csv", "summary.csv", "report.jsonl", "config.json")}
     assert main(args) == 0
     for name, text in first.items():
         assert _read(str(out / name)) == text
@@ -248,9 +248,9 @@ def test_flags_override_config_file(tmp_path):
     out = tmp_path / "m"
     rc = main(["moments", "--config", str(cfgfile), "--seed", "7", "--out", str(out)])
     assert rc == 0
-    echo = json.loads(_read(str(out / "report.jsonl")).splitlines()[0])
-    assert echo["config"]["seed"] == 7
-    assert echo["config"]["horizon"] == 1.0
+    echo = json.loads(_read(str(out / "config.json")))
+    assert echo["seed"] == 7
+    assert echo["horizon"] == 1.0
 
 
 def test_moments_emits_exact_oracle_values(tmp_path):
@@ -279,7 +279,7 @@ def test_schedule_outputs_frozen_first_row(tmp_path):
     k, t, s, M, _ = lines[1].split(",")
     assert (int(k), float(t), float(s), float(M)) == (
         2, 0.25643596187264656, 0.23083509858308343, 0.6931471805599453)
-    _, rec = (json.loads(line) for line in _read(str(out / "report.jsonl")).splitlines())
+    rec = json.loads(_read(str(out / "report.jsonl")))
     assert rec["gap_turnover_k"] >= 2
 
 
