@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from bbma import oracles
 from bbma.engine import run_replicate, spawn_rng_stream
 from bbma.kernel import survival_probability
 from bbma.model import IntervalSet, ModelParams, OffspringLaw, ground_state_h
@@ -126,6 +128,48 @@ def test_second_moment_delta1_is_survival():
 
 def test_second_moment_small_t_limit():
     assert second_moment_exact(1.0, 1e-6, params()) == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("x, t", [(1.0, 1e-6), (1.0, 1e-5), (1.25, 1e-3)])
+def test_second_moment_short_horizon_is_pure_branching(x, t):
+    # With x^2/2t > 700 absorption before t has probability below e^{-700},
+    # so E[N(N-1)] equals its pure-branching value to double precision.
+    assert x * x / (2.0 * t) > 700.0
+    p = params()
+    g = p.r * (p.offspring.mu1 - 1.0)
+    mean = math.exp(g * t) * survival_probability(x, t, p)
+    pure = (p.offspring.mu2 - p.offspring.mu1) * p.r * math.exp(g * t) * math.expm1(g * t) / g
+    assert second_moment_exact(x, t, p) - mean == pytest.approx(pure, rel=1e-6)
+
+
+# Values of the nested-quadrature implementation that preceded the vectorized
+# inner rule, computed once at extreme inputs: tiny x, long horizon, large c
+# and r, small r, and a pmf with p0 > 0.
+EXTREME_SECOND_MOMENTS = [
+    (0.01, 3.0, dict(), 0.0045357893475090165),
+    (3.0, 20.0, dict(), 609.4854021711833),
+    (1.0, 2.0, dict(c=3.0, r=6.0), 3092.697490255545),
+    (1.0, 5.0, dict(r=0.05), 0.015121806081918066),
+    (0.5, 4.0, dict(r=1.5, offspring=OffspringLaw.from_pmf({0: 0.2, 2: 0.5, 3: 0.3})),
+     103.03979317785361),
+]
+
+
+@pytest.mark.parametrize("x, t, kw, ref", EXTREME_SECOND_MOMENTS)
+def test_second_moment_extreme_inputs_pinned(x, t, kw, ref):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert second_moment_exact(x, t, params(**kw)) == pytest.approx(ref, rel=1e-10)
+
+
+def test_second_moment_reports_missed_inner_tolerance(monkeypatch):
+    # One Gauss-Legendre node on one panel cannot reach 1e-8: the promised
+    # warning fires and the value is still returned.
+    monkeypatch.setattr(oracles, "_GL_NODES", 1)
+    monkeypatch.setattr(oracles, "_GL_PANELS", 1)
+    with pytest.warns(RuntimeWarning, match="not met"):
+        val = second_moment_exact(1.0, 1.0, params())
+    assert math.isfinite(val)
 
 
 def test_second_moment_cauchy_schwarz():
