@@ -34,13 +34,8 @@ from .engine import (
     EventRecorder,
     MartingaleTrace,
     ReplicateResult,
-    additive_martingale,
-    count,
     run_replicate,
-    shifted_truncated_count,
     spawn_rng_stream,
-    truncated_count,
-    truncated_martingale,
     truncation_flags_for,
 )
 from .oracles import (
@@ -78,9 +73,8 @@ __all__ = [
     "sample_killed_steps_batch",
     "survival_prefactor_error", "survival_probability",
     "Census", "EventRecorder", "MartingaleTrace",
-    "ReplicateResult", "additive_martingale", "count", "run_replicate",
-    "shifted_truncated_count", "spawn_rng_stream", "truncated_count",
-    "truncated_martingale", "truncation_flags_for",
+    "ReplicateResult", "run_replicate", "spawn_rng_stream",
+    "truncation_flags_for",
     "SpinePair", "expected_count", "expected_count_asymptotic",
     "mean_one_check", "sample_spine_pair", "second_moment_exact",
     "spine_second_moment_mc", "truncated_second_moment_bound",

@@ -6,17 +6,19 @@ census snapshots carry zero discretization error.  Particles are processed
 as a vectorized cohort — one phase advances every active particle by one
 step — which keeps the per-event cost flat while populations grow.
 
-Censuses record, per alive particle, everything the truncation windows
-J^M_s = [0, M(1 + s^{3/4})) need after the fact: the interval's check
-history (branch-event and census times with positions), the interval
-maximum of position/(1 + time^{3/4}), and an ancestor index into the
-previous census.  Truncated counts and martingales are therefore
-recomputable for any window size (and any clock shift) from one set of
-paths: as 0/1 flags judged at the checkpoints (truncation_flags_for), or
-as bracketed conditional probabilities of the path-continuous escape
-(window_escape_bounds).  A run's own window flags are the same
-checkpoint-only flags, derived at each census by the truncation_flags_for
-rule.
+Censuses record everything the truncation windows J^M_s = [0, M(1 + s^{3/4}))
+need after the fact: per alive particle, the interval maximum of
+position/(1 + time^{3/4}) and an ancestor index into the previous census;
+and the interval's checkpoints (its start points, branch events and census
+points, each with time and position) as a parent-pointer tree that stores
+each checkpoint once, however many particles descend from it.  Window
+checks and per-segment escape factors accumulate down that tree.
+Truncated counts and martingales are therefore recomputable for any window
+size (and any clock shift) from one set of paths: as 0/1 flags judged at
+the checkpoints (truncation_flags_for), or as bracketed conditional
+probabilities of the path-continuous escape (window_escape_bounds).  A
+run's own window flags are the same checkpoint-only flags, derived at each
+census by the truncation_flags_for rule.
 """
 from __future__ import annotations
 
@@ -38,13 +40,8 @@ __all__ = [
     "EventRecorder",
     "spawn_rng_stream",
     "run_replicate",
-    "count",
-    "truncated_count",
-    "additive_martingale",
-    "truncated_martingale",
     "truncation_flags_for",
     "window_escape_bounds",
-    "shifted_truncated_count",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -81,11 +78,16 @@ class Census:
     extinct: bool
     ancestor_index: np.ndarray
     window_ratio: np.ndarray
-    # Ancestral checkpoint rows for shifted-window queries and escape
-    # bounds; None when the replicate was run with checkpoint_chains=False.
+    # The interval's checkpoint tree for shifted-window queries and escape
+    # bounds: one row per checkpoint (time, position, parent row) and each
+    # alive particle's leaf row (chk_slot).  The roots (parent -1) are the
+    # previous census's particles, or (0, x0) before the first census, and
+    # every row follows its parent.  None when the replicate was run with
+    # checkpoint_chains=False.
     chk_slot: np.ndarray | None
     chk_time: np.ndarray | None
     chk_pos: np.ndarray | None
+    chk_prev: np.ndarray | None
     truncation_M: float | None
 
 
@@ -148,7 +150,7 @@ _COLUMNS = {
     "pos": np.float64,     # position
     "ratio": np.float64,   # max of pos / (1 + t^{3/4}) over this interval's checks
     "anc": np.int64,       # slot in the previous census, -1 before the first
-    "chain": np.int64,     # latest checkpoint row of this interval, -1 if none;
+    "chain": np.int64,     # latest checkpoint row of this interval's tree;
                            # read only with checkpoint chains
     "accum": np.float64,   # time alive before the current step
 }
@@ -236,10 +238,6 @@ class _Run:
         co = _Cohort.zeros(1)
         co.pos[0] = co.ratio[0] = self.x0
         co.anc[0] = -1
-        # When the first census is strictly after t=0, the time-0 check must
-        # surface in that census's checkpoint rows: pre-seed it as chain
-        # entry 0 of the first interval.  A census at t=0 records it itself.
-        co.chain[0] = -1 if self.grid and self.grid[0] == 0.0 else 0
         self.co = co
 
         self.censuses: list[Census] = []
@@ -247,11 +245,21 @@ class _Run:
 
     # -- one inter-census interval ----------------------------------------
 
+    def _open_table(self, t: float, co: _Cohort) -> list | None:
+        """Start an interval's checkpoint table, a list of (time, position,
+        previous row) column blocks: co's particles at time t are its roots,
+        and each particle's chain points at its own root.  None without
+        checkpoint chains."""
+        if not self.keep_chains:
+            return None
+        co.chain = np.arange(co.size, dtype=np.int64)
+        return [(np.full(co.size, t), co.pos, np.full(co.size, -1, np.int64))]
+
     def _advance(self, t_start: float, t_end: float):
         """Advance every active particle from t_start to t_end.
 
-        Returns the particles alive at t_end and the checkpoint rows (time,
-        position, previous row) that their chains point into; None on cap
+        Returns the particles alive at t_end and the interval's checkpoint
+        table (see _open_table), into which their chains point; None on cap
         abort, with the cohort left as it was at the aborted phase.
         """
         p = self.params
@@ -261,17 +269,9 @@ class _Run:
         probs = p.offspring.probs
 
         parked: list[_Cohort] = []
-        ct_t: list[np.ndarray] = []
-        ct_p: list[np.ndarray] = []
-        ct_prev: list[np.ndarray] = []
-        ct_len = 0
         co = self.co
-        if self.keep_chains and co.size and np.any(co.chain >= 0):
-            # Pre-seeded root checkpoint (time-0 check before the first census).
-            ct_t.append(np.array([0.0]))
-            ct_p.append(np.array([self.x0]))
-            ct_prev.append(np.array([-1], np.int64))
-            ct_len = 1
+        table = self._open_table(t_start, co)
+        ct_len = co.size
 
         # Particles enter an interval synchronized at the previous census,
         # so every remaining-time starts at the full interval length.
@@ -324,10 +324,8 @@ class _Run:
             kids = co.take(bi).repeat(counts)  # each child starts as a copy of its parent
             self.created += total
             kids.accum = np.zeros(total)
-            if self.keep_chains:
-                ct_t.append((t_end - rem + dt)[bi])
-                ct_p.append(co.pos[bi])
-                ct_prev.append(co.chain[bi])
+            if table is not None:
+                table.append(((t_end - rem + dt)[bi], co.pos[bi], co.chain[bi]))
                 kids.chain = np.repeat(ct_len + np.arange(bi.size, dtype=np.int64), counts)
                 ct_len += bi.size
 
@@ -338,35 +336,21 @@ class _Run:
             co = kids.take(keep)
             rem = child_rem[keep]
 
-        ct = (
-            np.concatenate(ct_t) if ct_t else np.empty(0),
-            np.concatenate(ct_p) if ct_p else np.empty(0),
-            np.concatenate(ct_prev) if ct_prev else np.empty(0, np.int64),
-        )
-        return _Cohort.concat(parked), ct
+        return _Cohort.concat(parked), table
 
     # -- census assembly ---------------------------------------------------
 
-    def _emit_census(self, t_c: float, co: _Cohort, ct=None) -> None:
+    def _emit_census(self, t_c: float, co: _Cohort, table: list | None) -> None:
         """Record co as the census at t_c and make it the next interval's
-        cohort.  ct holds the checkpoint rows co's chains point into; None
-        when no chain points anywhere."""
+        cohort.  table is the interval's checkpoint table, which co's chains
+        point into; the census closes it with one leaf row per particle."""
         nslots = co.size
         slots = np.arange(nslots, dtype=np.int64)
-        if self.keep_chains:
-            chk_slot = [slots]
-            chk_time = [np.full(nslots, t_c)]
-            chk_pos = [co.pos]
-            ci = co.chain.copy()
-            live = ci >= 0
-            while live.any():
-                ct_t, ct_p, ct_prev = ct
-                idx = ci[live]
-                chk_slot.append(slots[live])
-                chk_time.append(ct_t[idx])
-                chk_pos.append(ct_p[idx])
-                ci[live] = ct_prev[idx]
-                live = ci >= 0
+        chk_slot = chk_time = chk_pos = chk_prev = None
+        if table is not None:
+            table.append((np.full(nslots, t_c), co.pos, co.chain))
+            chk_time, chk_pos, chk_prev = (np.concatenate(col) for col in zip(*table))
+            chk_slot = chk_time.size - nslots + slots
 
         if self.M is None:
             flags = np.ones(nslots, dtype=bool)
@@ -381,9 +365,10 @@ class _Run:
             extinct=bool(nslots == 0),
             ancestor_index=co.anc,
             window_ratio=co.ratio,
-            chk_slot=np.concatenate(chk_slot) if self.keep_chains else None,
-            chk_time=np.concatenate(chk_time) if self.keep_chains else None,
-            chk_pos=np.concatenate(chk_pos) if self.keep_chains else None,
+            chk_slot=chk_slot,
+            chk_time=chk_time,
+            chk_pos=chk_pos,
+            chk_prev=chk_prev,
             truncation_M=self.M,
         )
         self.censuses.append(census)
@@ -392,7 +377,6 @@ class _Run:
         # Re-seed the cohort for the next interval.
         co.anc = slots
         co.ratio = np.zeros(nslots)
-        co.chain = np.full(nslots, -1, np.int64)
         self.co = co
 
     def _append_trace(self, census: Census) -> None:
@@ -410,19 +394,17 @@ class _Run:
         t_now = 0.0
         grid = list(self.grid)
         if grid and grid[0] == 0.0:
-            self._emit_census(0.0, self.co)
+            self._emit_census(0.0, self.co, self._open_table(0.0, self.co))
             grid = grid[1:]
         boundaries = grid + ([] if grid and grid[-1] >= self.horizon - TIE_EPS else [self.horizon])
         n_census = len(grid)
         for i, t_end in enumerate(boundaries):
-            alive, ct = self.co, None
-            if alive.size:
-                step = self._advance(t_now, t_end)
-                if step is None:
-                    break
-                alive, ct = step
+            step = self._advance(t_now, t_end)
+            if step is None:
+                break
+            alive, table = step
             if i < n_census:
-                self._emit_census(t_end, alive, ct)
+                self._emit_census(t_end, alive, table)
             else:
                 # Horizon tail beyond the last census: the survivors go back
                 # into the cohort without a census.
@@ -481,12 +463,12 @@ def run_replicate(
     Exceeding population_cap cumulative particle-events aborts the
     replicate with status "population_cap_exceeded" and partial censuses.
 
-    checkpoint_chains=False drops the per-census ancestral checkpoint
-    tables, whose size is O(alive particles x branch generations) and
-    dominates memory for large populations.  Stored window flags,
+    checkpoint_chains=False drops the per-census checkpoint trees, whose
+    size is O(branch events + alive particles) per census and dominates
+    memory for large populations.  Stored window flags,
     window_ratio, and s=0 flag recomputation are unaffected; only
     shifted-window (s > 0) queries and window_escape_bounds need the
-    tables.  Draws identical randomness either way.
+    trees.  Draws identical randomness either way.
     """
     if rng is None:
         raise ValueError("run_replicate requires an rng; see spawn_rng_stream")
@@ -496,47 +478,7 @@ def run_replicate(
     ).run()
 
 
-# -- census reductions -----------------------------------------------------
-
-
-def count(census: Census, B: IntervalSet) -> int:
-    """|N_t(B)|: alive particles with position in B."""
-    return int(B.indicator(census.alive_positions).sum())
-
-
-def truncated_count(census: Census, B: IntervalSet) -> int:
-    """Alive particles in B whose whole path stayed inside the run's window."""
-    return int((B.indicator(census.alive_positions) & census.truncated_flags).sum())
-
-
-def additive_martingale(census: Census, params: ModelParams, x0: float) -> float:
-    """D_t = e^{-(r(mu1-1)-lambda) t} sum_u h(u_t) / h(x0); 0 when extinct."""
-    hvals = ground_state_h(census.alive_positions, params)
-    return float(np.sum(hvals)) * math.exp(-params.growth_exponent * census.time) / ground_state_h(x0, params)
-
-
-def truncated_martingale(
-    census: Census,
-    params: ModelParams,
-    x0: float,
-    M: float | None = None,
-    flags: np.ndarray | None = None,
-) -> float:
-    """Truncated martingale: the D_t sum restricted to in-window particles.
-
-    With no explicit flags, M must match the window the replicate was run
-    with (or be None); arbitrary windows are recomputed from the census
-    sequence via truncation_flags_for.
-    """
-    if flags is None:
-        if M is not None and census.truncation_M is not None and M != census.truncation_M:
-            raise ValueError("census flags were computed for a different M; pass flags from truncation_flags_for")
-        if M is not None and census.truncation_M is None:
-            raise ValueError("replicate ran without a window; pass flags from truncation_flags_for")
-        flags = census.truncated_flags
-    hvals = ground_state_h(census.alive_positions, params)
-    total = float(np.sum(hvals, where=np.asarray(flags, dtype=bool)))
-    return total * math.exp(-params.growth_exponent * census.time) / ground_state_h(x0, params)
+# -- window flags and escape bounds ----------------------------------------
 
 
 def truncation_flags_for(censuses: list[Census], M: float, s: float = 0.0) -> list[np.ndarray]:
@@ -562,9 +504,8 @@ def truncation_flags_for(censuses: list[Census], M: float, s: float = 0.0) -> li
                     "shifted-window flags need checkpoint chains; "
                     "rerun with checkpoint_chains=True"
                 )
-            ok = np.ones(cen.alive_positions.size, dtype=bool)
             good = cen.chk_pos < M * (1.0 + (s + cen.chk_time) ** 0.75)
-            np.logical_and.at(ok, cen.chk_slot, good)
+            ok = _fold(good, cen.chk_prev, np.logical_and)[cen.chk_slot]
         prev = _inherit_flags(ok, cen.ancestor_index, prev)
         flags.append(prev)
     return flags
@@ -577,6 +518,25 @@ def _inherit_flags(ok: np.ndarray, anc: np.ndarray, prev: np.ndarray | None) -> 
     if prev is None:
         return ok
     return ok & np.where(anc >= 0, prev[np.maximum(anc, 0)], True)
+
+
+def _fold(vals: np.ndarray, prev: np.ndarray, op) -> np.ndarray:
+    """op-accumulate vals (one entry per row, along the first axis) over
+    each row's path from its root (prev = -1) down to the row.
+
+    Pointer jumping: every pass joins each unfinished row to the partial
+    result of the row its pointer names and doubles the pointer's reach, so
+    a path of depth d is done after ceil(log2 d) passes.
+    """
+    acc = vals.copy()
+    up = prev.copy()
+    act = np.flatnonzero(up >= 0)
+    while act.size:
+        anc = up[act]
+        acc[act] = op(acc[anc], acc[act])
+        up[act] = up[anc]
+        act = act[up[act] >= 0]
+    return acc
 
 
 def _line_crossing_given_positive(g0, g1, x0, x1, tau):
@@ -659,7 +619,8 @@ def window_escape_bounds(censuses: list[Census], M: float) -> list[tuple[np.ndar
     lineage (root at (0, x0), branch times, census times) is a positive
     Brownian bridge, independent across segments given the checkpoints, so
     the stay-inside probability is the product of per-segment factors from
-    _segment_escape_bounds, carried across censuses via ancestor_index.
+    _segment_escape_bounds: one per edge of each census's checkpoint tree,
+    multiplied down the tree and carried across censuses via ancestor_index.
     Wherever truncation_flags_for(censuses, M) marks a particle escaped
     (a checkpoint outside the window) both ends are 1; elsewhere the
     bracket holds the conditional escape probability under the documented
@@ -668,7 +629,6 @@ def window_escape_bounds(censuses: list[Census], M: float) -> list[tuple[np.ndar
     """
     flags = truncation_flags_for(censuses, M)
     out: list[tuple[np.ndarray, np.ndarray]] = []
-    prev: Census | None = None
     prev_lo = prev_hi = np.empty(0)  # log stay-probability bounds
     for cen, ok in zip(censuses, flags):
         if cen.chk_slot is None:
@@ -676,39 +636,21 @@ def window_escape_bounds(censuses: list[Census], M: float) -> list[tuple[np.ndar
                 "window escape bounds need checkpoint chains; "
                 "rerun with checkpoint_chains=True"
             )
-        n = cen.alive_positions.size
-        # A slot's rows run from the census point back through its branch
-        # points, so consecutive rows of one slot bound one path segment.
-        order = np.argsort(cen.chk_slot, kind="stable")
-        slot, t, x = cen.chk_slot[order], cen.chk_time[order], cen.chk_pos[order]
-        same = slot[1:] == slot[:-1]
-        seg = [slot[:-1][same]], [t[1:][same]], [x[1:][same]], [t[:-1][same]], [x[:-1][same]]
-        # The earliest row of each slot continues the ancestor's path from
-        # its position at the previous census.
-        earliest = np.flatnonzero(np.append(~same, True))
+        # Every row with a parent ends one path segment.
+        edge = np.flatnonzero(cen.chk_prev >= 0)
+        up = cen.chk_prev[edge]
+        p_lo, p_hi = _segment_escape_bounds(
+            cen.chk_time[up], cen.chk_pos[up], cen.chk_time[edge], cen.chk_pos[edge], M)
+        log_stay = np.zeros((cen.chk_prev.size, 2))  # columns: lower, upper
+        with np.errstate(divide="ignore"):
+            log_stay[edge] = np.log1p(-np.stack([p_hi, p_lo], axis=1))
+        log_lo, log_hi = _fold(log_stay, cen.chk_prev, np.add)[cen.chk_slot].T
         anc = cen.ancestor_index
         has = np.flatnonzero(anc >= 0)
-        if has.size:
-            e = earliest[has]
-            for part, v in zip(seg, (has, np.full(has.size, prev.time),
-                                     prev.alive_positions[anc[has]], t[e], x[e])):
-                part.append(v)
-        s, t0, x0, t1, x1 = (np.concatenate(part) for part in seg)
-        p_lo, p_hi = _segment_escape_bounds(t0, x0, t1, x1, M)
-        with np.errstate(divide="ignore"):
-            log_hi = np.bincount(s, np.log1p(-p_lo), n).astype(np.float64, copy=False)
-            log_lo = np.bincount(s, np.log1p(-p_hi), n).astype(np.float64, copy=False)
         log_hi[has] += prev_hi[anc[has]]
         log_lo[has] += prev_lo[anc[has]]
         log_hi[~ok] = log_lo[~ok] = -np.inf
         out.append((-np.expm1(log_hi), -np.expm1(log_lo)))
-        prev, prev_lo, prev_hi = cen, log_lo, log_hi
+        prev_lo, prev_hi = log_lo, log_hi
     return out
 
-
-def shifted_truncated_count(censuses: list[Census], M: float, s: float, B: IntervalSet) -> int:
-    """Alive particles in B at the last census whose path stayed in the
-    s-shifted window at every checked time."""
-    flags = truncation_flags_for(censuses, M, s)
-    final = censuses[-1]
-    return int((flags[-1] & B.indicator(final.alive_positions)).sum())

@@ -8,13 +8,8 @@ from hypothesis import strategies as st
 
 from bbma.engine import (
     EventRecorder,
-    additive_martingale,
-    count,
     run_replicate,
-    shifted_truncated_count,
     spawn_rng_stream,
-    truncated_count,
-    truncated_martingale,
     _line_crossing_given_positive,
     _segment_escape_bounds,
     truncation_flags_for,
@@ -114,24 +109,22 @@ def test_replicates_independent_of_execution_order():
 
 
 def test_initial_census_is_the_starting_particle():
-    res, p = busy_replicate()
+    res, _ = busy_replicate()
     c0 = res.censuses[0]
     assert c0.time == 0.0
     np.testing.assert_array_equal(c0.alive_positions, [1.0])
-    assert additive_martingale(c0, p, 1.0) == pytest.approx(1.0, abs=1e-15)
     assert res.trace.d[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_census_invariants():
-    res, p = busy_replicate()
+    res, _ = busy_replicate()
     assert res.status == "ok"
-    for cen in res.censuses:
+    tr = res.trace
+    for j, cen in enumerate(res.censuses):
         assert np.all(cen.alive_positions > 0)
         assert cen.truncated_flags.shape == cen.alive_positions.shape
         assert cen.extinct == (cen.alive_positions.size == 0)
-        # truncated subpopulation is a subset: flags select alive particles
-        assert truncated_count(cen, AXIS) <= count(cen, AXIS)
-    tr = res.trace
+        assert tr.times[j] == cen.time and tr.n_alive[j] == cen.alive_positions.size
     assert np.all(tr.d_trunc <= tr.d + 1e-15)
     assert np.all(tr.d >= 0)
 
@@ -269,38 +262,37 @@ def test_event_recorder_collects_waits_and_offspring():
 
 
 def test_count_additivity_and_axis():
-    res, _ = busy_replicate()
-    cen = res.censuses[-1]
     B1, B2 = IntervalSet.parse("0,1"), IntervalSet.parse("1,inf")
-    assert count(cen, AXIS) == cen.alive_positions.size
-    assert count(cen, B1) + count(cen, B2) == count(cen, AXIS)
-    assert count(cen, B1.union(B2)) == count(cen, AXIS)
-    assert truncated_count(cen, B1) + truncated_count(cen, B2) == truncated_count(cen, AXIS)
+    res = run_replicate(params(r=1.5), 1.0, 4.0, [0.0, 1.0, 2.0, 3.0, 4.0], 3.0,
+                        spawn_rng_stream(2, 0), interval_sets=(B1, B2, B1.union(B2), AXIS))
+    sc, n = res.trace.set_counts, res.trace.n_alive
+    assert n[-1] > 0
+    np.testing.assert_array_equal(sc[:, 3], n)
+    np.testing.assert_array_equal(sc[:, 0] + sc[:, 1], n)
+    np.testing.assert_array_equal(sc[:, 2], n)
 
 
 def test_trace_set_counts_match_reductions():
     res, _ = busy_replicate()
-    B1, B2 = res.trace.interval_sets
+    sets = res.trace.interval_sets
     for j, cen in enumerate(res.censuses):
-        assert res.trace.set_counts[j, 0] == count(cen, B1)
-        assert res.trace.set_counts[j, 1] == count(cen, B2)
+        for k, B in enumerate(sets):
+            assert res.trace.set_counts[j, k] == int(np.count_nonzero(B.indicator(cen.alive_positions)))
 
 
 def test_vacuous_truncation_window():
-    res, p = busy_replicate(seed=2, M=math.inf)
+    res, _ = busy_replicate(seed=2, M=math.inf)
     for cen in res.censuses:
-        assert truncated_count(cen, AXIS) == count(cen, AXIS)
-        assert truncated_martingale(cen, p, 1.0) == pytest.approx(
-            additive_martingale(cen, p, 1.0), rel=1e-15)
+        assert np.all(cen.truncated_flags)
+    np.testing.assert_allclose(res.trace.d_trunc, res.trace.d, rtol=1e-15, atol=0)
 
 
 def test_empty_census_martingale():
     p = params(r=0.3)
     res = run_replicate(p, 0.2, 50.0, [50.0], None, spawn_rng_stream(83, 0))
-    cen = res.censuses[-1]
-    assert cen.extinct
-    assert additive_martingale(cen, p, 0.2) == 0.0
-    assert count(cen, AXIS) == 0
+    assert res.censuses[-1].extinct
+    assert res.trace.d[-1] == 0.0 and res.trace.d_trunc[-1] == 0.0
+    assert res.trace.n_alive[-1] == 0
 
 
 def test_shifted_truncation_s0_equals_runtime_flags():
@@ -334,26 +326,28 @@ def test_shifted_truncation_s0_equals_runtime_flags():
     assert "population_cap_exceeded" in statuses and escaped > 0
 
 
+def _in_window(censuses, M, s):
+    """Alive particles at the last census whose path stayed in the
+    s-shifted window at every checkpoint."""
+    return int(truncation_flags_for(censuses, M, s)[-1].sum())
+
+
 def test_shifted_truncated_count_monotone_in_M():
     res, _ = busy_replicate(seed=9, M=3.0)
-    B = AXIS
-    counts = [shifted_truncated_count(res.censuses, M, 0.0, B) for M in (1.5, 2.0, 3.0, 6.0)]
+    counts = [_in_window(res.censuses, M, 0.0) for M in (1.5, 2.0, 3.0, 6.0)]
     assert counts == sorted(counts)
-    assert counts[-1] <= count(res.censuses[-1], B)
+    assert counts[-1] <= res.trace.n_alive[-1]
+    # the run's own window is M = 3
+    assert counts[2] == int(res.censuses[-1].truncated_flags.sum())
+    assert (counts[2] > 0) == (res.trace.d_trunc[-1] > 0)
 
 
 def test_shifted_window_reduces_alive_set():
     # s > 0 widens every window (larger intercept), so counts only grow.
     res, _ = busy_replicate(seed=4, M=3.0)
-    c0 = shifted_truncated_count(res.censuses, 3.0, 0.0, AXIS)
-    c_shift = shifted_truncated_count(res.censuses, 3.0, 5.0, AXIS)
-    assert c0 <= c_shift <= count(res.censuses[-1], AXIS)
-
-
-def test_truncated_martingale_M_mismatch_rejected():
-    res, p = busy_replicate(seed=1, M=3.0)
-    with pytest.raises(ValueError):
-        truncated_martingale(res.censuses[-1], p, 1.0, M=2.0)
+    c0 = _in_window(res.censuses, 3.0, 0.0)
+    c_shift = _in_window(res.censuses, 3.0, 5.0)
+    assert c0 <= c_shift <= res.trace.n_alive[-1]
 
 
 @given(st.integers(0, 10_000))
@@ -368,8 +362,8 @@ def test_accounting_identity_property(seed):
 
 
 def test_checkpoint_chains_off_same_statistics():
-    # the chain tables are pure bookkeeping: same rng draws, same censuses,
-    # same flags, O(alive x generations) less memory
+    # the checkpoint trees are pure bookkeeping: same rng draws, same
+    # censuses, same flags
     res_on, p = busy_replicate(seed=12, M=2.5)
     res_off, _ = busy_replicate(seed=12, M=2.5, checkpoint_chains=False)
     assert np.array_equal(res_on.trace.d, res_off.trace.d)
@@ -379,7 +373,7 @@ def test_checkpoint_chains_off_same_statistics():
         assert np.array_equal(a.alive_positions, b.alive_positions)
         assert np.array_equal(a.truncated_flags, b.truncated_flags)
         assert np.array_equal(a.window_ratio, b.window_ratio)
-        assert b.chk_slot is None and b.chk_time is None and b.chk_pos is None
+        assert b.chk_slot is None and b.chk_time is None and b.chk_pos is None and b.chk_prev is None
     # s=0 recomputation never needed the chains
     flags = truncation_flags_for(res_off.censuses, 2.5, s=0.0)
     for cen, f in zip(res_off.censuses, flags):
@@ -489,3 +483,114 @@ def test_window_escape_bounds_on_busy_replicates():
             for (lo_s, hi_s), (lo_l, hi_l) in zip(small, large):
                 assert np.all(lo_l <= lo_s) and np.all(hi_l <= hi_s)
 
+
+
+# -- checkpoint trees ----------------------------------------------------------
+
+# (params, x0, horizon, census grid, keywords): deep single-child chains, p0 > 0,
+# a census at t = 0 and a first census after 0, a horizon tail, a cap abort
+TREE_CASES = {
+    "delta1": (params(c=0.3, r=6.0, offspring=DELTA1), 2.0, 3.0, [0.0, 3.0], {}),
+    "p0": (params(c=0.8, r=1.4, offspring=OffspringLaw.from_pmf({0: 0.2, 1: 0.1, 2: 0.4, 3: 0.3})),
+           0.9, 3.0, [0.0, 1.0, 3.0], {}),
+    "from_zero": (params(r=1.5), 1.0, 4.0, [0.0, 1.0, 2.0, 3.0, 4.0], {}),
+    "first_after_zero": (params(r=1.5), 1.0, 4.0, [0.7, 2.0, 4.0], {}),
+    "tail": (params(r=1.5), 1.0, 5.0, [1.0, 2.5], {}),
+    "cap": (params(r=3.0), 2.0, 8.0, [1.0, 2.0, 8.0], {"population_cap": 500}),
+}
+
+
+def _tree_case(name, seed):
+    p, x0, horizon, grid, kw = TREE_CASES[name]
+    return run_replicate(p, x0, horizon, grid, None, spawn_rng_stream(seed, 0), **kw), x0
+
+
+def _walk_paths(censuses, x0, M, s):
+    """Window flags at shift s and, at s = 0, escape brackets, by walking
+    each alive particle's chk_prev chain from its leaf to its root in plain
+    Python: the AND of the window checks along the path, and the sum of the
+    per-edge log stay-probabilities, joined to the ancestor's at the
+    previous census.  Also checks that each path starts where its ancestor
+    was at the previous census (the start point before the first)."""
+    flags, bounds = [], []
+    prev = None
+    for cen in censuses:
+        t, x, up = cen.chk_time.tolist(), cen.chk_pos.tolist(), cen.chk_prev.tolist()
+        edges = [row for row, u in enumerate(up) if u >= 0]
+        e_lo, e_hi = _segment_escape_bounds([t[up[r]] for r in edges], [x[up[r]] for r in edges],
+                                            [t[r] for r in edges], [x[r] for r in edges], M)
+        log_stay = {r: (math.log1p(-ph) if ph < 1 else -math.inf,
+                        math.log1p(-pl) if pl < 1 else -math.inf)
+                    for r, pl, ph in zip(edges, e_lo.tolist(), e_hi.tolist())}
+        f, lo, hi = [], [], []
+        for i, leaf in enumerate(cen.chk_slot.tolist()):
+            assert (t[leaf], x[leaf]) == (cen.time, cen.alive_positions[i])
+            ok, s_lo, s_hi, row = True, 0.0, 0.0, leaf
+            while True:
+                ok = ok and x[row] < M * (1.0 + (s + t[row]) ** 0.75)
+                if up[row] < 0:
+                    break
+                s_lo, s_hi = s_lo + log_stay[row][0], s_hi + log_stay[row][1]
+                row = up[row]
+            a = int(cen.ancestor_index[i])
+            if a >= 0:
+                assert (t[row], x[row]) == (prev[0].time, prev[0].alive_positions[a])
+                ok = ok and prev[1][a]
+                s_lo, s_hi = s_lo + prev[2][a], s_hi + prev[3][a]
+            else:
+                assert prev is None and (t[row], x[row]) == (0.0, x0)
+            if not ok:
+                s_lo = s_hi = -math.inf
+            f.append(ok)
+            lo.append(s_lo)
+            hi.append(s_hi)
+        prev = (cen, f, lo, hi)
+        flags.append(np.array(f, dtype=bool))
+        bounds.append((-np.expm1(hi), -np.expm1(lo)))
+    return flags, bounds
+
+
+@pytest.mark.parametrize("name", sorted(TREE_CASES))
+def test_tree_consumers_match_plain_path_walk(name):
+    Ms = (1.9, 2.1, 2.5) if name == "delta1" else (1.2, 2.0, 3.0)
+    depth, escaped, statuses = 0, 0, set()
+    for seed in range(4):
+        res, x0 = _tree_case(name, seed)
+        statuses.add(res.status)
+        for cen in res.censuses:
+            rows = np.arange(cen.chk_prev.size)
+            assert np.all(cen.chk_prev < rows)
+            lengths = np.zeros(rows.size, np.int64)
+            for row, u in enumerate(cen.chk_prev.tolist()):
+                lengths[row] = lengths[u] + 1 if u >= 0 else 0
+            depth = max(depth, int(lengths.max(initial=0)))
+        for M in Ms:
+            got = window_escape_bounds(res.censuses, M)
+            for s in (0.0, 2.0, 5.0):
+                flags, bounds = _walk_paths(res.censuses, x0, M, s)
+                for f, g in zip(flags, truncation_flags_for(res.censuses, M, s)):
+                    np.testing.assert_array_equal(g, f)
+                    escaped += int((~f).sum())
+                if s == 0.0:
+                    for (lo, hi), (g_lo, g_hi) in zip(bounds, got):
+                        np.testing.assert_allclose(g_lo, lo, rtol=1e-12, atol=0)
+                        np.testing.assert_allclose(g_hi, hi, rtol=1e-12, atol=0)
+    assert escaped > 0
+    if name == "delta1":
+        assert depth >= 16       # many pointer-jumping passes
+    if name == "cap":
+        assert statuses == {"population_cap_exceeded"}
+
+
+@pytest.mark.parametrize("name", ["delta1", "p0", "from_zero", "first_after_zero"])
+def test_each_checkpoint_stored_once(name):
+    # rows = census points + interval start points + branch events with
+    # children, when every branch event falls inside a censused interval
+    for seed in range(6):
+        res, _ = _tree_case(name, seed)
+        assert res.status == "ok" and res.censuses[-1].time == TREE_CASES[name][2]
+        n = res.trace.n_alive
+        rows = sum(cen.chk_time.size for cen in res.censuses)
+        assert rows == n.sum() + 1 + n[:-1].sum() + res.counters["branched"]
+        roots = [int((cen.chk_prev < 0).sum()) for cen in res.censuses]
+        assert roots == [1] + n[:-1].tolist()
