@@ -218,8 +218,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if hasattr(args, key) and getattr(args, key) is not None:
             flag_map[key] = getattr(args, key)
     for key, v in flag_map.items():
-        if v is not None:
-            values[key] = v
+        if v is not None:  # float flags arrive as text and follow the config file's rule
+            values[key] = _parse_value(key, v) if key in _FLOAT_KEYS else v
     if args.set:
         for s in args.set:
             try:
@@ -247,6 +247,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         cfg.params()
     except ValueError as e:
         raise UsageError(str(e)) from None
+    for key in ("x0", "horizon"):
+        if not getattr(cfg, key) > 0:
+            raise UsageError(f"{key} must be positive, got {getattr(cfg, key)!r}")
     return cfg
 
 
@@ -473,17 +476,15 @@ def _make_parser() -> _Parser:
     for name in _COMMANDS:
         sp = sub.add_parser(name, help=f"run the {name} command")
         sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--c", type=float, help="drift toward the absorbing origin")
-        sp.add_argument("--r", type=float, help="branch rate")
+        sp.add_argument("--c", help="drift toward the absorbing origin")
+        sp.add_argument("--r", help="branch rate")
         sp.add_argument("--offspring", help="'dyadic' or 'pmf:p0,p1,...'")
-        sp.add_argument("--x0", type=float, help="start height (default 1)")
-        sp.add_argument("--horizon", type=float, help="simulation horizon (default 10)")
-        sp.add_argument("--census-dt", dest="census_dt", type=float,
-                        help="census spacing (default horizon/4)")
+        sp.add_argument("--x0", help="start height (default 1)")
+        sp.add_argument("--horizon", help="simulation horizon (default 10)")
+        sp.add_argument("--census-dt", dest="census_dt", help="census spacing (default horizon/4)")
         sp.add_argument("--replicates", type=int, help="replicate count (per-command default)")
         sp.add_argument("--seed", type=int, help="master seed (default 0; BBM_SEED overrides)")
-        sp.add_argument("--trunc-M", dest="trunc_M", type=float,
-                        help="truncation window size (default off)")
+        sp.add_argument("--trunc-M", dest="trunc_M", help="truncation window size (default off)")
         sp.add_argument("--set", action="append",
                         help="interval set 'a,b;c,d' with inf (repeatable)")
         sp.add_argument("--out", help="output directory (default .)")
@@ -498,7 +499,7 @@ def _make_parser() -> _Parser:
                             help="comma-separated branch-rate grid")
         if name == "schedule":
             sp.add_argument("--k-max", dest="k_max", type=int, help="schedule length (default 1000)")
-            sp.add_argument("--delta", type=float, help="window-size slope (default 1)")
+            sp.add_argument("--delta", help="window-size slope (default 1)")
     return p
 
 

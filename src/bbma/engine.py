@@ -7,18 +7,18 @@ as a vectorized cohort — one phase advances every active particle by one
 step — which keeps the per-event cost flat while populations grow.
 
 Censuses record everything the truncation windows J^M_s = [0, M(1 + s^{3/4}))
-need after the fact: per alive particle, the interval maximum of
-position/(1 + time^{3/4}) and an ancestor index into the previous census;
-and the interval's checkpoints (its start points, branch events and census
-points, each with time and position) as a parent-pointer tree that stores
-each checkpoint once, however many particles descend from it.  Window
-checks and per-segment escape factors accumulate down that tree.
-Truncated counts and martingales are therefore recomputable for any window
-size (and any clock shift) from one set of paths: as 0/1 flags judged at
-the checkpoints (truncation_flags_for), or as bracketed conditional
-probabilities of the path-continuous escape (window_escape_bounds).  A
-run's own window flags are the same checkpoint-only flags, derived at each
-census by the truncation_flags_for rule.
+need after the fact: per alive particle, an ancestor index into the
+previous census; and the interval's checkpoints (its start points, branch
+events and census points, each with time and position) as a parent-pointer
+tree that stores each checkpoint once, however many particles descend from
+it, appended in blocks whose rows have their parents in earlier blocks.
+Window checks and per-segment escape factors accumulate down that tree, one
+pass per block.  Truncated counts and martingales are therefore
+recomputable for any window size (and any clock shift) from one set of
+paths: as 0/1 flags judged at the checkpoints (truncation_flags_for), or as
+bracketed conditional probabilities of the path-continuous escape
+(window_escape_bounds).  A run's own window flags are the same flags,
+folded down the same tree at each census.
 """
 from __future__ import annotations
 
@@ -77,18 +77,17 @@ class Census:
     absorbed_count: int
     extinct: bool
     ancestor_index: np.ndarray
-    window_ratio: np.ndarray
-    # The interval's checkpoint tree for shifted-window queries and escape
-    # bounds: one row per checkpoint (time, position, parent row) and each
-    # alive particle's leaf row (chk_slot).  The roots (parent -1) are the
-    # previous census's particles, or (0, x0) before the first census, and
-    # every row follows its parent.  None when the replicate was run with
-    # checkpoint_chains=False.
+    # The interval's checkpoint tree for window queries and escape bounds:
+    # one row per checkpoint (time, position, parent row), each alive
+    # particle's leaf row (chk_slot) and the block offsets (chk_block).  The
+    # first block holds the roots (parent -1): the previous census's particles,
+    # or (0, x0).  Every other row's parent lies in an earlier block.  None
+    # when the replicate was run with checkpoint_chains=False.
     chk_slot: np.ndarray | None
     chk_time: np.ndarray | None
     chk_pos: np.ndarray | None
     chk_prev: np.ndarray | None
-    truncation_M: float | None
+    chk_block: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -148,10 +147,9 @@ class EventRecorder:
 # The cohort's columns, one row per active particle.
 _COLUMNS = {
     "pos": np.float64,     # position
-    "ratio": np.float64,   # max of pos / (1 + t^{3/4}) over this interval's checks
     "anc": np.int64,       # slot in the previous census, -1 before the first
     "chain": np.int64,     # latest checkpoint row of this interval's tree;
-                           # read only with checkpoint chains
+                           # read only with a window or checkpoint chains
     "accum": np.float64,   # time alive before the current step
 }
 
@@ -236,7 +234,7 @@ class _Run:
 
         # The active cohort: the root particle, checked at time 0.
         co = _Cohort.zeros(1)
-        co.pos[0] = co.ratio[0] = self.x0
+        co.pos[0] = self.x0
         co.anc[0] = -1
         self.co = co
 
@@ -248,9 +246,9 @@ class _Run:
     def _open_table(self, t: float, co: _Cohort) -> list | None:
         """Start an interval's checkpoint table, a list of (time, position,
         previous row) column blocks: co's particles at time t are its roots,
-        and each particle's chain points at its own root.  None without
-        checkpoint chains."""
-        if not self.keep_chains:
+        and each particle's chain points at its own root.  None when neither
+        a window nor checkpoint chains need it."""
+        if self.M is None and not self.keep_chains:
             return None
         co.chain = np.arange(co.size, dtype=np.int64)
         return [(np.full(co.size, t), co.pos, np.full(co.size, -1, np.int64))]
@@ -294,8 +292,6 @@ class _Run:
             if not survived.any():
                 break
             sv = np.flatnonzero(survived)
-            z = (t_end - rem + dt)[sv]
-            co.ratio[sv] = np.maximum(co.ratio[sv], co.pos[sv] / (1.0 + z**0.75))
 
             park = sv[~branch_first[sv]]
             if park.size:
@@ -346,17 +342,21 @@ class _Run:
         point into; the census closes it with one leaf row per particle."""
         nslots = co.size
         slots = np.arange(nslots, dtype=np.int64)
-        chk_slot = chk_time = chk_pos = chk_prev = None
+        chk_slot = chk_time = chk_pos = chk_prev = chk_block = None
         if table is not None:
             table.append((np.full(nslots, t_c), co.pos, co.chain))
             chk_time, chk_pos, chk_prev = (np.concatenate(col) for col in zip(*table))
+            chk_block = np.cumsum([0, *(len(times) for times, _, _ in table)])
             chk_slot = chk_time.size - nslots + slots
 
         if self.M is None:
             flags = np.ones(nslots, dtype=bool)
         else:
             prev = self.censuses[-1].truncated_flags if self.censuses else None
-            flags = _inherit_flags(co.ratio < self.M, co.anc, prev)
+            ok = _window_ok(chk_time, chk_pos, chk_prev, chk_block, chk_slot, self.M, 0.0)
+            flags = _inherit_flags(ok, co.anc, prev)
+        if not self.keep_chains:
+            chk_slot = chk_time = chk_pos = chk_prev = chk_block = None
         census = Census(
             time=t_c,
             alive_positions=co.pos,
@@ -364,19 +364,17 @@ class _Run:
             absorbed_count=self.absorbed,
             extinct=bool(nslots == 0),
             ancestor_index=co.anc,
-            window_ratio=co.ratio,
             chk_slot=chk_slot,
             chk_time=chk_time,
             chk_pos=chk_pos,
             chk_prev=chk_prev,
-            truncation_M=self.M,
+            chk_block=chk_block,
         )
         self.censuses.append(census)
         self._append_trace(census)
 
         # Re-seed the cohort for the next interval.
         co.anc = slots
-        co.ratio = np.zeros(nslots)
         self.co = co
 
     def _append_trace(self, census: Census) -> None:
@@ -454,21 +452,23 @@ def run_replicate(
 
     Censuses are taken at the times in census_grid (sorted, within
     [0, horizon]).  truncation_M switches on window flags for
-    J^M_s = [0, M(1+s^{3/4})): each census derives them from window_ratio
-    and the previous census's flags by the truncation_flags_for rule, so
-    they are checked at every event and census time only (a path that
-    leaves and re-enters between checks keeps its flag, so D_trunc is
-    biased upward; window_escape_bounds brackets the path-continuous
-    escape after the fact).  Without a window every flag is true.
+    J^M_s = [0, M(1+s^{3/4})): each census folds the window checks down its
+    interval's checkpoint tree and joins the previous census's flags, by the
+    truncation_flags_for rule, so they are checked at every event and census
+    time only (a path that leaves and re-enters between checks keeps its
+    flag, so D_trunc is biased upward; window_escape_bounds brackets the
+    path-continuous escape after the fact).  Without a window every flag is
+    true.
     Exceeding population_cap cumulative particle-events aborts the
     replicate with status "population_cap_exceeded" and partial censuses.
 
     checkpoint_chains=False drops the per-census checkpoint trees, whose
     size is O(branch events + alive particles) per census and dominates
-    memory for large populations.  Stored window flags,
-    window_ratio, and s=0 flag recomputation are unaffected; only
-    shifted-window (s > 0) queries and window_escape_bounds need the
-    trees.  Draws identical randomness either way.
+    memory for large populations.  A run with a window still builds each
+    interval's tree to judge its flags, but does not keep it.  Stored
+    window flags are unaffected; truncation_flags_for and
+    window_escape_bounds need the trees.  Draws identical randomness
+    either way.
     """
     if rng is None:
         raise ValueError("run_replicate requires an rng; see spawn_rng_stream")
@@ -491,24 +491,25 @@ def truncation_flags_for(censuses: list[Census], M: float, s: float = 0.0) -> li
     These are checkpoint-only flags: a path that leaves the window and
     returns between two checkpoints keeps its flag, so ~flag is a lower
     estimate of the documented path-continuous escape.  window_escape_bounds
-    brackets the escape probability given the same checkpoints.
+    brackets the escape probability given the same checkpoints.  Needs
+    checkpoint chains.
     """
     flags: list[np.ndarray] = []
     prev: np.ndarray | None = None
     for cen in censuses:
-        if s == 0.0:
-            ok = cen.window_ratio < M
-        else:
-            if cen.chk_slot is None:
-                raise ValueError(
-                    "shifted-window flags need checkpoint chains; "
-                    "rerun with checkpoint_chains=True"
-                )
-            good = cen.chk_pos < M * (1.0 + (s + cen.chk_time) ** 0.75)
-            ok = _fold(good, cen.chk_prev, np.logical_and)[cen.chk_slot]
+        if cen.chk_slot is None:
+            raise ValueError("window queries need checkpoint chains (checkpoint_chains=True)")
+        ok = _window_ok(cen.chk_time, cen.chk_pos, cen.chk_prev, cen.chk_block, cen.chk_slot, M, s)
         prev = _inherit_flags(ok, cen.ancestor_index, prev)
         flags.append(prev)
     return flags
+
+
+def _window_ok(time, pos, prev, block, slot, M: float, s: float) -> np.ndarray:
+    """Per leaf row (slot): whether every checkpoint from its root down to it
+    lies in the s-shifted window, position < M(1 + (s + time)^{3/4})."""
+    good = pos < M * (1.0 + (s + time) ** 0.75)
+    return _fold(good, prev, block, np.logical_and)[slot]
 
 
 def _inherit_flags(ok: np.ndarray, anc: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
@@ -520,22 +521,18 @@ def _inherit_flags(ok: np.ndarray, anc: np.ndarray, prev: np.ndarray | None) -> 
     return ok & np.where(anc >= 0, prev[np.maximum(anc, 0)], True)
 
 
-def _fold(vals: np.ndarray, prev: np.ndarray, op) -> np.ndarray:
+def _fold(vals: np.ndarray, prev: np.ndarray, block: np.ndarray, op) -> np.ndarray:
     """op-accumulate vals (one entry per row, along the first axis) over
     each row's path from its root (prev = -1) down to the row.
 
-    Pointer jumping: every pass joins each unfinished row to the partial
-    result of the row its pointer names and doubles the pointer's reach, so
-    a path of depth d is done after ceil(log2 d) passes.
+    The first block (rows block[0]:block[1]) holds the roots, and every
+    other row's parent lies in an earlier block, so one pass per block
+    finishes each row from its parent's finished value.
     """
     acc = vals.copy()
-    up = prev.copy()
-    act = np.flatnonzero(up >= 0)
-    while act.size:
-        anc = up[act]
-        acc[act] = op(acc[anc], acc[act])
-        up[act] = up[anc]
-        act = act[up[act] >= 0]
+    bounds = block.tolist()
+    for a, b in zip(bounds[1:-1], bounds[2:]):
+        acc[a:b] = op(acc[prev[a:b]], acc[a:b])
     return acc
 
 
@@ -631,11 +628,6 @@ def window_escape_bounds(censuses: list[Census], M: float) -> list[tuple[np.ndar
     out: list[tuple[np.ndarray, np.ndarray]] = []
     prev_lo = prev_hi = np.empty(0)  # log stay-probability bounds
     for cen, ok in zip(censuses, flags):
-        if cen.chk_slot is None:
-            raise ValueError(
-                "window escape bounds need checkpoint chains; "
-                "rerun with checkpoint_chains=True"
-            )
         # Every row with a parent ends one path segment.
         edge = np.flatnonzero(cen.chk_prev >= 0)
         up = cen.chk_prev[edge]
@@ -644,7 +636,7 @@ def window_escape_bounds(censuses: list[Census], M: float) -> list[tuple[np.ndar
         log_stay = np.zeros((cen.chk_prev.size, 2))  # columns: lower, upper
         with np.errstate(divide="ignore"):
             log_stay[edge] = np.log1p(-np.stack([p_hi, p_lo], axis=1))
-        log_lo, log_hi = _fold(log_stay, cen.chk_prev, np.add)[cen.chk_slot].T
+        log_lo, log_hi = _fold(log_stay, cen.chk_prev, cen.chk_block, np.add)[cen.chk_slot].T
         anc = cen.ancestor_index
         has = np.flatnonzero(anc >= 0)
         log_hi[has] += prev_hi[anc[has]]

@@ -776,8 +776,8 @@ def suite_branching_stats(params: ModelParams, n: int, seed: int) -> dict:
     events = 0
     while recorder.n_events < n and j < max(64, 4 * n):
         rng = spawn_rng_stream(seed, j)
-        res = run_replicate(params, x0, h, [], None, rng,
-                            event_recorder=recorder, population_cap=30_000_000)
+        res = run_replicate(params, x0, h, [], None, rng, event_recorder=recorder,
+                            population_cap=30_000_000, checkpoint_chains=False)
         events += res.n_events
         j += 1
 

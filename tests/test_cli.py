@@ -132,6 +132,22 @@ def test_unknown_flag_exit_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, match", [
+    ("--horizon", "nan", "key 'horizon': value must be finite"),
+    ("--horizon", "inf", "key 'horizon': value must be finite"),
+    ("--census-dt", "nan", "key 'census_dt': value must be finite"),
+    ("--x0", "-1", "x0 must be positive"),
+    ("--x0", "inf", "key 'x0': value must be finite"),
+    ("--trunc-M", "nan", "key 'truncation_M': value must be finite"),
+])
+def test_bad_float_flag_exit_1(tmp_path, capsys, flag, value, match):
+    # the flags follow the config file's finite-number rule
+    out = tmp_path / "out"
+    assert main(["simulate", *SUPER, "--horizon", "1", flag, value, "--out", str(out)]) == 1
+    assert f"error: {match}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_threads_flag_accepts_only_one(tmp_path, capsys):
     args = ["moments", "--c", "1", "--r", "0.6", "--offspring", "dyadic", "--horizon", "1"]
     assert main([*args, "--threads", "1", "--out", str(tmp_path / "one")]) == 0

@@ -148,7 +148,8 @@ def test_hereditary_truncation_flags():
                 continue
             anc_ok = prev.truncated_flags[cur.ancestor_index]
             assert np.all(~cur.truncated_flags | anc_ok)
-            returned += int((~anc_ok & (cur.window_ratio < 1.2)).sum())
+            own_ok = truncation_flags_for([cur], 1.2)[0]
+            returned += int((~anc_ok & own_ok).sum())
     assert returned > 0
 
 
@@ -298,8 +299,9 @@ def test_empty_census_martingale():
 def test_shifted_truncation_s0_equals_runtime_flags():
     """Post-hoc window recomputation at s=0 must reproduce the run-time flags
     bit for bit, for every census and several M: a census grid from 0 or
-    first census after 0, p0 > 0 offspring, a cap-aborted run, and a run
-    without checkpoint chains."""
+    first census after 0, p0 > 0 offspring, a cap-aborted run, and the
+    run-time flags of a run without checkpoint chains (recomputed from a
+    run with them at the same seed)."""
     busy = params(r=1.5)
     p0 = params(c=0.8, r=1.4, offspring=OffspringLaw.from_pmf({0: 0.2, 1: 0.1, 2: 0.4, 3: 0.3}))
     cases = [  # params, x0, horizon, census grid, keywords
@@ -312,9 +314,10 @@ def test_shifted_truncation_s0_equals_runtime_flags():
     statuses, escaped = set(), 0
     for p, x0, horizon, grid, kw in cases:
         for seed in range(5):
-            def run(M):
-                return run_replicate(p, x0, horizon, grid, M, spawn_rng_stream(seed, 0), **kw)
-            res = run(2.5)
+            def run(M, **extra):
+                return run_replicate(p, x0, horizon, grid, M, spawn_rng_stream(seed, 0),
+                                     **{**kw, **extra})
+            res = run(2.5, checkpoint_chains=True)
             statuses.add(res.status)
             for M in (1.2, 1.5, 2.05, 2.5, 4.0):
                 flags = truncation_flags_for(res.censuses, M, s=0.0)
@@ -372,12 +375,10 @@ def test_checkpoint_chains_off_same_statistics():
     for a, b in zip(res_on.censuses, res_off.censuses):
         assert np.array_equal(a.alive_positions, b.alive_positions)
         assert np.array_equal(a.truncated_flags, b.truncated_flags)
-        assert np.array_equal(a.window_ratio, b.window_ratio)
-        assert b.chk_slot is None and b.chk_time is None and b.chk_pos is None and b.chk_prev is None
-    # s=0 recomputation never needed the chains
-    flags = truncation_flags_for(res_off.censuses, 2.5, s=0.0)
-    for cen, f in zip(res_off.censuses, flags):
-        assert np.array_equal(cen.truncated_flags, f)
+        assert all(v is None for v in (b.chk_slot, b.chk_time, b.chk_pos, b.chk_prev, b.chk_block))
+    # every recomputation, s = 0 included, reads the trees
+    with pytest.raises(ValueError, match="checkpoint chains"):
+        truncation_flags_for(res_off.censuses, 2.5, s=0.0)
 
 
 def test_checkpoint_chains_required_for_shifted_window():
@@ -560,6 +561,13 @@ def test_tree_consumers_match_plain_path_walk(name):
         for cen in res.censuses:
             rows = np.arange(cen.chk_prev.size)
             assert np.all(cen.chk_prev < rows)
+            # blocks: the roots first, then rows whose parents lie in
+            # earlier blocks
+            block = cen.chk_block
+            assert block[0] == 0 and block[-1] == rows.size and np.all(np.diff(block) >= 0)
+            assert np.all(cen.chk_prev[:block[1]] == -1)
+            start = block[np.searchsorted(block, rows, side="right") - 1]
+            assert np.all((cen.chk_prev[block[1]:] >= 0) & (cen.chk_prev < start)[block[1]:])
             lengths = np.zeros(rows.size, np.int64)
             for row, u in enumerate(cen.chk_prev.tolist()):
                 lengths[row] = lengths[u] + 1 if u >= 0 else 0
@@ -577,7 +585,7 @@ def test_tree_consumers_match_plain_path_walk(name):
                         np.testing.assert_allclose(g_hi, hi, rtol=1e-12, atol=0)
     assert escaped > 0
     if name == "delta1":
-        assert depth >= 16       # many pointer-jumping passes
+        assert depth >= 16       # deep paths: many blocks
     if name == "cap":
         assert statuses == {"population_cap_exceeded"}
 
