@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .kernel import survival_probability
 from .model import (
     IntervalSet,
     ModelParams,
-    OffspringLaw,
     classify_regime,
     parse_offspring,
 )
@@ -98,8 +97,6 @@ class RunConfig:
         if self.census_grid is not None:
             return list(self.census_grid)
         dt = self.census_dt if self.census_dt is not None else self.horizon / 4.0
-        if dt <= 0:
-            raise UsageError(f"census_dt must be positive, got {dt!r}")
         k = int(math.floor(self.horizon / dt + 1e-9))
         grid = [dt * i for i in range(1, k + 1)]
         if not grid or grid[-1] < self.horizon - 1e-9:
@@ -130,42 +127,51 @@ class RunConfig:
 
 _FLOAT_KEYS = {"c", "r", "x0", "horizon", "census_dt", "truncation_M", "delta"}
 _INT_KEYS = {"replicates", "seed", "k_max"}
-_GRID_KEYS = {"census_grid", "c_grid", "r_grid"}
+_GRID_KEYS = ("census_grid", "c_grid", "r_grid")
+_POSITIVE_KEYS = ("x0", "horizon", "census_dt", "truncation_M", "delta")
 
 
 def _parse_value(key: str, raw: str):
+    """Read the value of one key from its text, a flag's or a config line's.
+
+    A float key, and each entry of a comma-separated grid key, must be a
+    finite number; an int key an integer; 'format' csv or jsonl; 'set' and
+    'offspring' valid specs, kept as their stripped text.  Raises UsageError
+    naming the key; range rules are _check's.
+    """
     raw = raw.strip()
-    if key in _FLOAT_KEYS:
+    if key in _FLOAT_KEYS or key in _GRID_KEYS:
+        grid = key in _GRID_KEYS
         try:
-            v = float(raw)
+            vals = tuple(float(tok) for tok in raw.split(",") if tok.strip()) if grid else (float(raw),)
         except ValueError:
-            raise UsageError(f"key '{key}': expected a number, got '{raw}'") from None
-        if not math.isfinite(v):
+            want = "comma-separated numbers" if grid else "a number"
+            raise UsageError(f"key '{key}': expected {want}, got '{raw}'") from None
+        if not all(map(math.isfinite, vals)):
             raise UsageError(f"key '{key}': value must be finite, got '{raw}'")
-        return v
+        return vals if grid else vals[0]
     if key in _INT_KEYS:
         try:
             return int(raw)
         except ValueError:
             raise UsageError(f"key '{key}': expected an integer, got '{raw}'") from None
-    if key in _GRID_KEYS:
+    if key == "format" and raw not in ("csv", "jsonl"):
+        raise UsageError(f"key 'format': must be 'csv' or 'jsonl', got '{raw}'")
+    if key in ("set", "offspring"):
         try:
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        except ValueError:
-            raise UsageError(f"key '{key}': expected comma-separated numbers, got '{raw}'") from None
-    if key == "format":
-        if raw not in ("csv", "jsonl"):
-            raise UsageError(f"key 'format': must be 'csv' or 'jsonl', got '{raw}'")
-        return raw
+            (IntervalSet.parse if key == "set" else parse_offspring)(raw)
+        except ValueError as e:
+            raise UsageError(f"bad {'interval set' if key == 'set' else key} '{raw}': {e}") from None
     return raw
 
 
 def parse_config(text: str, base: dict | None = None) -> dict:
     """Parse flat key=value config text into a dict of RunConfig fields.
 
-    Later lines override earlier ones except 'set', which accumulates.
-    Unknown keys, malformed numbers, malformed offspring/interval syntax
-    each raise UsageError naming the offending token.
+    '#' starts a comment.  Later lines override earlier ones except 'set',
+    which accumulates into 'sets'.  Each value is read by _parse_value; an
+    unknown key, a line without '=' or a value it rejects raises UsageError
+    prefixed 'config line N: '.  Range rules wait for the whole run (_check).
     """
     known = {f.name for f in fields(RunConfig)} | {"set"}
     out: dict = dict(base or {})
@@ -179,23 +185,45 @@ def parse_config(text: str, base: dict | None = None) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise UsageError(f"config line {lineno}: unknown key '{key}'")
+        try:
+            value = _parse_value(key, raw)
+        except UsageError as e:
+            raise UsageError(f"config line {lineno}: {e}") from None
         if key == "set":
-            try:
-                IntervalSet.parse(raw)
-            except ValueError as e:
-                raise UsageError(f"config line {lineno}: bad interval set '{raw}': {e}") from None
-            set_list.append(raw.strip())
-        elif key == "offspring":
-            try:
-                parse_offspring(raw)
-            except ValueError as e:
-                raise UsageError(f"config line {lineno}: bad offspring '{raw}': {e}") from None
-            out[key] = raw.strip()
+            set_list.append(value)
         else:
-            out[key] = _parse_value(key, raw)
+            out[key] = value
     if set_list:
         out["sets"] = tuple(set_list)
     return out
+
+
+def _check(cfg: RunConfig) -> None:
+    """Every range rule on a run's keys, checked once before any command
+    runs; raises UsageError at the first broken rule."""
+    for key in _GRID_KEYS:
+        if getattr(cfg, key) == ():
+            raise UsageError(f"{key} must not be empty")
+    cells = [(c, r) for c in cfg.c_grid or (cfg.c,) for r in cfg.r_grid or (cfg.r,)]
+    try:
+        for c, r in [(cfg.c, cfg.r), *cells]:  # the model, then every grid cell
+            replace(cfg, c=c, r=r).params()
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    for key in _POSITIVE_KEYS:
+        v = getattr(cfg, key)
+        if v is not None and not v > 0:
+            raise UsageError(f"{key} must be positive, got {v!r}")
+    if cfg.replicates is not None and cfg.replicates < 1:
+        raise UsageError(f"replicates must be at least 1, got {cfg.replicates}")
+    if cfg.k_max < 2:
+        raise UsageError(f"k_max must be at least 2, got {cfg.k_max}")
+    g = cfg.census_grid
+    if g is not None:
+        if any(b <= a for a, b in zip(g, g[1:])):
+            raise UsageError(f"census_grid must increase strictly, got {list(g)}")
+        if g[0] < 0 or g[-1] > cfg.horizon:
+            raise UsageError(f"census_grid must lie within [0, horizon={cfg.horizon!r}], got {list(g)}")
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -208,25 +236,12 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"cannot read config file: {e}") from None
         values = parse_config(text)
 
-    flag_map = {
-        "c": args.c, "r": args.r, "offspring": args.offspring,
-        "x0": args.x0, "horizon": args.horizon, "census_dt": args.census_dt,
-        "replicates": args.replicates, "seed": args.seed,
-        "truncation_M": args.trunc_M, "out": args.out, "format": args.format,
-    }
-    for key in ("c_grid", "r_grid", "k_max", "delta"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            flag_map[key] = getattr(args, key)
-    for key, v in flag_map.items():
-        if v is not None:  # float flags arrive as text and follow the config file's rule
-            values[key] = _parse_value(key, v) if key in _FLOAT_KEYS else v
+    for f in fields(RunConfig):  # every flag's dest is its key; flags override the file
+        raw = getattr(args, f.name, None)
+        if raw is not None:
+            values[f.name] = _parse_value(f.name, raw)
     if args.set:
-        for s in args.set:
-            try:
-                IntervalSet.parse(s)
-            except ValueError as e:
-                raise UsageError(f"bad --set '{s}': {e}") from None
-        values["sets"] = tuple(args.set)
+        values["sets"] = tuple(_parse_value("set", s) for s in args.set)
 
     env_seed = os.environ.get("BBM_SEED")
     if env_seed is not None:
@@ -238,18 +253,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     missing = [k for k in ("c", "r", "offspring") if k not in values]
     if missing:
         raise UsageError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
-    try:
-        parse_offspring(values["offspring"])
-    except ValueError as e:
-        raise UsageError(f"bad offspring '{values['offspring']}': {e}") from None
     cfg = RunConfig(**values)
-    try:
-        cfg.params()
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    for key in ("x0", "horizon"):
-        if not getattr(cfg, key) > 0:
-            raise UsageError(f"{key} must be positive, got {getattr(cfg, key)!r}")
+    _check(cfg)
     return cfg
 
 
@@ -482,32 +487,22 @@ def _make_parser() -> _Parser:
         sp.add_argument("--x0", help="start height (default 1)")
         sp.add_argument("--horizon", help="simulation horizon (default 10)")
         sp.add_argument("--census-dt", dest="census_dt", help="census spacing (default horizon/4)")
-        sp.add_argument("--replicates", type=int, help="replicate count (per-command default)")
-        sp.add_argument("--seed", type=int, help="master seed (default 0; BBM_SEED overrides)")
-        sp.add_argument("--trunc-M", dest="trunc_M", help="truncation window size (default off)")
+        sp.add_argument("--replicates", help="replicate count (per-command default)")
+        sp.add_argument("--seed", help="master seed (default 0; BBM_SEED overrides)")
+        sp.add_argument("--trunc-M", dest="truncation_M", help="truncation window size (default off)")
         sp.add_argument("--set", action="append",
                         help="interval set 'a,b;c,d' with inf (repeatable)")
         sp.add_argument("--out", help="output directory (default .)")
-        sp.add_argument("--format", choices=["csv", "jsonl"],
-                        help="csv also writes censuses.csv; jsonl skips it")
+        sp.add_argument("--format", help="csv also writes censuses.csv; jsonl skips it")
         sp.add_argument("--threads", type=int, choices=[1],
                         help="runs are single-threaded; accepted for compatibility, only 1")
         if name == "phase":
-            sp.add_argument("--c-grid", dest="c_grid", type=_grid_arg,
-                            help="comma-separated drift grid")
-            sp.add_argument("--r-grid", dest="r_grid", type=_grid_arg,
-                            help="comma-separated branch-rate grid")
+            sp.add_argument("--c-grid", dest="c_grid", help="comma-separated drift grid")
+            sp.add_argument("--r-grid", dest="r_grid", help="comma-separated branch-rate grid")
         if name == "schedule":
-            sp.add_argument("--k-max", dest="k_max", type=int, help="schedule length (default 1000)")
+            sp.add_argument("--k-max", dest="k_max", help="schedule length (default 1000)")
             sp.add_argument("--delta", help="window-size slope (default 1)")
     return p
-
-
-def _grid_arg(raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got '{raw}'") from None
 
 
 def main(argv=None) -> int:

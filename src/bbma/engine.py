@@ -114,10 +114,11 @@ class ReplicateResult:
 class EventRecorder:
     """Collects realized inter-branch waits, offspring counts, and event times.
 
-    The wait of a branch event is the full elapsed time since the particle's
-    birth (accumulated across census boundaries), so recorded waits are
-    exact Exponential(r) draws up to end-of-run censoring; event times let a
-    consumer undo that censoring exactly (birth = time - wait).
+    The wait of a branch event is the time since the particle's birth or the
+    last census, whichever is later.  By memorylessness it is an exact
+    Exponential(r) draw, censored at the next census or the horizon; event
+    times let a consumer undo that censoring exactly, since the wait began
+    at time - wait.
     """
 
     def __init__(self) -> None:
@@ -150,7 +151,6 @@ _COLUMNS = {
     "anc": np.int64,       # slot in the previous census, -1 before the first
     "chain": np.int64,     # latest checkpoint row of this interval's tree;
                            # read only with a window or checkpoint chains
-    "accum": np.float64,   # time alive before the current step
 }
 
 
@@ -215,13 +215,14 @@ class _Run:
         self.recorder = event_recorder
         self.keep_chains = bool(checkpoint_chains)
 
-        if not self.x0 > 0:
-            raise ValueError("x0 must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
+        # Each test is written so that NaN fails it.
+        if not 0 < self.x0 < math.inf:
+            raise ValueError("x0 must be positive and finite")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
+        if not all(b > a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("census grid must be strictly increasing")
-        if self.grid and (self.grid[0] < 0 or self.grid[-1] > self.horizon + TIE_EPS):
+        if self.grid and not (self.grid[0] >= 0 and self.grid[-1] <= self.horizon + TIE_EPS):
             raise ValueError("census grid must lie within [0, horizon]")
 
         self.h_x0 = ground_state_h(self.x0, params)
@@ -295,9 +296,7 @@ class _Run:
 
             park = sv[~branch_first[sv]]
             if park.size:
-                arrived = co.take(park)
-                arrived.accum += dt[park]
-                parked.append(arrived)
+                parked.append(co.take(park))
 
             br = sv[branch_first[sv]]
             if br.size == 0:
@@ -307,7 +306,7 @@ class _Run:
             else:
                 m = rng.choice(support, size=br.size, p=probs)
             if self.recorder is not None:
-                self.recorder.record(co.accum[br] + E[br], m, (t_end - rem + dt)[br])
+                self.recorder.record(E[br], m, (t_end - rem + dt)[br])
             has_kids = m >= 1
             self.branched += int(has_kids.sum())
             self.died_childless += int((~has_kids).sum())
@@ -319,7 +318,6 @@ class _Run:
             child_rem = np.repeat(rem[bi] - dt[bi], counts)
             kids = co.take(bi).repeat(counts)  # each child starts as a copy of its parent
             self.created += total
-            kids.accum = np.zeros(total)
             if table is not None:
                 table.append(((t_end - rem + dt)[bi], co.pos[bi], co.chain[bi]))
                 kids.chain = np.repeat(ct_len + np.arange(bi.size, dtype=np.int64), counts)

@@ -540,7 +540,10 @@ def experiment_phase_diagram(
     supercritical cells must reject extinction in a one-sided binomial test
     at significance 0.01, evaluated at a per-cell horizon trimmed to desk
     scale but still long enough that e^{g t} >= 50 (else flagged infeasible).
+    An empty grid has no cell to judge and raises ValueError.
     """
+    if not len(c_grid) or not len(r_grid):
+        raise ValueError("phase diagram requires a non-empty c_grid and r_grid")
     cells = []
     records = []
     n_events = 0
@@ -756,8 +759,9 @@ def suite_branching_stats(params: ModelParams, n: int, seed: int) -> dict:
     real engine branch events.
 
     Waits are end-of-run censored, so the raw sample is not exponential;
-    each recorded wait W with known censoring bound T = horizon - birth is
-    mapped to V = (1 - e^{-rW}) / (1 - e^{-rT}), which is exactly
+    each recorded wait W, the time since birth or the last census (these
+    runs have no census), with known censoring bound T = horizon - (time - W)
+    is mapped to V = (1 - e^{-rW}) / (1 - e^{-rT}), which is exactly
     Uniform(0,1) under the exponential-clock null.  The start height is
     chosen high enough that absorption is numerically impossible, keeping
     the censoring bound deterministic.

@@ -1,14 +1,16 @@
 """CLI tests: config parsing and round-trips, exit codes, output file
 schemas, seed handling, and byte-level determinism of reruns."""
 
+import argparse
 import csv
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbma.cli import RunConfig, UsageError, main, parse_config
+from bbma.cli import RunConfig, UsageError, _make_parser, main, parse_config
 from bbma.experiments import experiment_kesten, verify_samplers
 from bbma.model import ModelParams, OffspringLaw
 from bbma.oracles import expected_count
@@ -112,8 +114,6 @@ def test_census_grid_defaults():
     assert RunConfig(**base, census_dt=4.0).grid() == [4.0, 8.0, 10.0]
     assert RunConfig(**base, census_dt=2.5).grid() == [2.5, 5.0, 7.5, 10.0]
     assert RunConfig(**base, census_grid=(1.0, 9.0)).grid() == [1.0, 9.0]
-    with pytest.raises(UsageError, match="census_dt must be positive"):
-        RunConfig(**base, census_dt=-1.0).grid()
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +132,63 @@ def test_unknown_flag_exit_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value, match", [
-    ("--horizon", "nan", "key 'horizon': value must be finite"),
-    ("--horizon", "inf", "key 'horizon': value must be finite"),
-    ("--census-dt", "nan", "key 'census_dt': value must be finite"),
-    ("--x0", "-1", "x0 must be positive"),
-    ("--x0", "inf", "key 'x0': value must be finite"),
-    ("--trunc-M", "nan", "key 'truncation_M': value must be finite"),
-])
-def test_bad_float_flag_exit_1(tmp_path, capsys, flag, value, match):
-    # the flags follow the config file's finite-number rule
-    out = tmp_path / "out"
-    assert main(["simulate", *SUPER, "--horizon", "1", flag, value, "--out", str(out)]) == 1
-    assert f"error: {match}" in capsys.readouterr().err
+def _assert_usage_error(capsys, out, match):
+    # one error line, no traceback, and nothing written
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and f"error: {match}" in lines[0], lines
     assert not out.exists()
+
+
+def _flag_case(flag, value, match, command="simulate"):
+    prefix = "" if command == "simulate" else f"{command}-"
+    return pytest.param(command, flag, value, match, id=f"{prefix}{flag}-{value}-{match}")
+
+
+@pytest.mark.parametrize("command, flag, value, match", [
+    _flag_case("--horizon", "nan", "key 'horizon': value must be finite"),
+    _flag_case("--horizon", "inf", "key 'horizon': value must be finite"),
+    _flag_case("--horizon", "0", "horizon must be positive, got 0.0"),
+    _flag_case("--census-dt", "nan", "key 'census_dt': value must be finite"),
+    _flag_case("--census-dt", "-1", "census_dt must be positive, got -1.0"),
+    _flag_case("--census-dt", "0", "census_dt must be positive, got 0.0"),
+    _flag_case("--x0", "-1", "x0 must be positive"),
+    _flag_case("--x0", "inf", "key 'x0': value must be finite"),
+    _flag_case("--trunc-M", "nan", "key 'truncation_M': value must be finite"),
+    _flag_case("--trunc-M", "0", "truncation_M must be positive, got 0.0"),
+    _flag_case("--trunc-M", "-1", "truncation_M must be positive, got -1.0"),
+    _flag_case("--replicates", "0", "replicates must be at least 1, got 0"),
+    _flag_case("--replicates", "-2", "replicates must be at least 1, got -2"),
+    _flag_case("--replicates", "1.5", "key 'replicates': expected an integer, got '1.5'"),
+    _flag_case("--seed", "x", "key 'seed': expected an integer, got 'x'"),
+    _flag_case("--format", "yaml", "key 'format': must be 'csv' or 'jsonl', got 'yaml'"),
+    _flag_case("--set", "3,2", "bad interval set '3,2'"),
+    _flag_case("--offspring", "pmf:0.2,0.9", "bad offspring 'pmf:0.2,0.9'"),
+    _flag_case("--c-grid", "nan", "key 'c_grid': value must be finite, got 'nan'", "phase"),
+    _flag_case("--c-grid", "-1", "drift c must be positive and finite, got -1.0", "phase"),
+    _flag_case("--c-grid", "1,x", "key 'c_grid': expected comma-separated numbers", "phase"),
+    _flag_case("--r-grid", "0", "branch rate r must be positive and finite, got 0.0", "phase"),
+    _flag_case("--c-grid", ",", "c_grid must not be empty", "phase"),
+    _flag_case("--k-max", "1", "k_max must be at least 2, got 1", "schedule"),
+    _flag_case("--delta", "0", "delta must be positive, got 0.0", "schedule"),
+    _flag_case("--replicates", "0", "replicates must be at least 1, got 0", "verify"),
+    _flag_case("--replicates", "0", "replicates must be at least 1, got 0", "kesten"),
+])
+def test_bad_float_flag_exit_1(tmp_path, capsys, command, flag, value, match):
+    # the flags follow the config file's reader and range rules
+    out = tmp_path / "out"
+    assert main([command, *SUPER, "--horizon", "1", flag, value, "--out", str(out)]) == 1
+    _assert_usage_error(capsys, out, match)
+
+
+def test_every_flag_dest_is_a_run_key():
+    # flags are read by RunConfig field name, so a flag whose dest is not a
+    # field would be dropped without a word
+    keys = {f.name for f in fields(RunConfig)} | {"set", "config", "threads"}
+    sub = next(a for a in _make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sp in sub.choices.items():
+        for action in sp._actions:
+            if not isinstance(action, argparse._HelpAction):
+                assert action.dest in keys, (name, action.option_strings, action.dest)
 
 
 def test_threads_flag_accepts_only_one(tmp_path, capsys):
@@ -161,10 +204,25 @@ def test_unknown_command_exit_1(capsys):
 
 
 def test_bad_config_file_exit_1(tmp_path, capsys):
+    cases = [
+        ("simulate", "window=3", "config line 4: unknown key 'window'"),
+        ("simulate", "census_grid=nan", "config line 4: key 'census_grid': value must be finite"),
+        ("simulate", "census_grid=", "census_grid must not be empty"),
+        ("simulate", "census_grid=2,1", "census_grid must increase strictly, got [2.0, 1.0]"),
+        ("simulate", "census_grid=5,20",  # the default horizon is 10
+         "census_grid must lie within [0, horizon=10.0], got [5.0, 20.0]"),
+        ("simulate", "census_grid=-1,1", "census_grid must lie within [0, horizon=10.0]"),
+        ("simulate", "replicates=0", "replicates must be at least 1, got 0"),
+        ("simulate", "offspring=pmf:0.2,0.9", "config line 4: bad offspring 'pmf:0.2,0.9'"),
+        ("phase", "c_grid=nan", "config line 4: key 'c_grid': value must be finite"),
+        ("phase", "r_grid=", "r_grid must not be empty"),
+    ]
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("c=1\nr=0.6\noffspring=dyadic\nwindow=3\n")
-    assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
-    assert "unknown key 'window'" in capsys.readouterr().err
+    for i, (command, line, match) in enumerate(cases):
+        cfgfile.write_text(f"c=1\nr=0.6\noffspring=dyadic\n{line}\n")
+        out = tmp_path / f"out{i}"
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 1, line
+        _assert_usage_error(capsys, out, match)
 
 
 def test_missing_config_file_exit_1(capsys):

@@ -162,6 +162,14 @@ def test_grid_validation():
         run_replicate(p, 1.0, 2.0, [1.0, 5.0], None, rng)          # beyond horizon
     with pytest.raises(ValueError):
         run_replicate(p, -1.0, 2.0, [1.0], None, rng)              # bad start
+    # NaN and infinite inputs: each check is written so that NaN fails it
+    for x0, horizon, grid in [
+        (1.0, math.nan, []), (1.0, math.nan, [1.0]),
+        (1.0, 2.0, [math.nan]), (1.0, 2.0, [1.0, math.nan]), (1.0, 2.0, [math.nan, 1.0]),
+        (1.0, math.inf, [1.0]), (math.inf, 2.0, [1.0]), (math.nan, 2.0, [1.0]),
+    ]:
+        with pytest.raises(ValueError):
+            run_replicate(p, x0, horizon, grid, None, rng)
     with pytest.raises(ValueError):
         run_replicate(p, 1.0, 2.0, [1.0], None, None)              # rng required
 

@@ -306,6 +306,13 @@ def test_phase_flags_uninformative_horizon():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("c_grid, r_grid", [([], [1.5]), ([1.0], []), ([], [])])
+def test_phase_diagram_rejects_empty_grid(c_grid, r_grid):
+    # zero cells would "pass" with nothing tested
+    with pytest.raises(ValueError, match="non-empty"):
+        experiment_phase_diagram(c_grid, r_grid, OffspringLaw.dyadic(), 1.0, 10.0, 10, 5)
+
+
 # ---------------------------------------------------------------------------
 # census-time schedule
 # ---------------------------------------------------------------------------
