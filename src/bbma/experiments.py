@@ -15,7 +15,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-from scipy import stats
+
+# scipy.stats takes about a third of a second to import, so the functions that
+# run its tests import it themselves and runs that never test do not pay.
+from scipy.special import betainc
 
 from .engine import (
     EventRecorder,
@@ -40,7 +43,7 @@ from .model import (
     nu_cdf,
     nu_measure,
 )
-from .oracles import expected_count, expected_count_asymptotic
+from .oracles import expected_count, expected_count_asymptotic, quad
 
 __all__ = [
     "ExperimentReport",
@@ -416,6 +419,8 @@ def _log_quadratic_fit(M_list: list[float], means: list[float]) -> tuple[float, 
     mask = vals > 0
     if mask.sum() < 3:
         return math.nan, math.nan
+    from scipy import stats
+
     fit = stats.linregress(np.array(M_list)[mask] ** 2, np.log(vals[mask]))
     return float(fit.rvalue**2), float(fit.slope)
 
@@ -584,8 +589,8 @@ def experiment_phase_diagram(
                 growth = math.exp(params.growth_exponent * h_eff)
                 cell["growth_factor"] = growth
                 cell["feasible"] = growth >= MIN_GROWTH_FACTOR
-                pval = float(stats.binomtest(survived, n, p=EXTINCTION_FREQ,
-                                             alternative="greater").pvalue)
+                # one-sided binomial p-value P(Bin(n, p) >= survived) = I_p(k, n - k + 1)
+                pval = float(betainc(survived, n - survived + 1, EXTINCTION_FREQ)) if survived else 1.0
                 cell["binomial_p"] = pval
                 cell["ok"] = bool(cell["feasible"] and pval < SIGNIFICANCE)
                 if not cell["feasible"]:
@@ -678,13 +683,13 @@ def suite_hitting_time_ks(params: ModelParams, n: int, rng: np.random.Generator,
     first_passage_density, so the KS comparison is anchored to the density
     the package actually exposes.
     """
+    from scipy import stats
+
     samples = sample_hitting_time(x, params, rng, size=n)
     dist = stats.invgauss(mu=1.0 / (params.c * x), scale=x * x)
-    from scipy.integrate import quad
-
     spots = [0.3, 1.0, 3.0]
     spot_err = max(
-        abs(quad(lambda s: first_passage_density(x, s, params), 0, q, limit=200)[0] - dist.cdf(q))
+        abs(quad(lambda s: first_passage_density(x, s, params), 0.0, q) - dist.cdf(q))
         for q in spots
     )
     ks = stats.kstest(samples, dist.cdf)
@@ -704,6 +709,8 @@ def suite_killed_position_ks(params: ModelParams, n: int, rng: np.random.Generat
     """KS test of surviving killed-step positions against the conditional CDF
     killed_cdf/survival_probability.  position_offset is a sensitivity
     control for tests: a nonzero offset must make the suite fail."""
+    from scipy import stats
+
     survived, pos = sample_killed_steps_batch(
         np.full(n, float(x)), np.full(n, float(t)), params, rng
     )
@@ -713,11 +720,9 @@ def suite_killed_position_ks(params: ModelParams, n: int, rng: np.random.Generat
     def cond_cdf(v):
         return np.clip(killed_cdf(x, np.maximum(v, 0.0), t, params) / sp, 0.0, 1.0)
 
-    from scipy.integrate import quad
-
     spots = [0.5, 1.0, 2.0]
     spot_err = max(
-        abs(quad(lambda y: killed_density(x, y, t, params), 0, q, limit=200)[0]
+        abs(quad(lambda y: killed_density(x, y, t, params), 0.0, q)
             - float(killed_cdf(x, q, t, params)))
         for q in spots
     )
@@ -739,6 +744,8 @@ def suite_killed_position_ks(params: ModelParams, n: int, rng: np.random.Generat
 def suite_survival_binomial(params: ModelParams, n: int, rng: np.random.Generator,
                             x: float = 1.0, t: float = 1.0) -> dict:
     """Survival indicator of the killed step against Binomial(n, sp)."""
+    from scipy import stats
+
     survived, _ = sample_killed_steps_batch(
         np.full(n, float(x)), np.full(n, float(t)), params, rng
     )
@@ -766,6 +773,8 @@ def suite_branching_stats(params: ModelParams, n: int, seed: int) -> dict:
     chosen high enough that absorption is numerically impossible, keeping
     the censoring bound deterministic.
     """
+    from scipy import stats
+
     law = params.offspring
     g_pure = params.r * (law.mu1 - 1.0)
     if g_pure > 0.05:

@@ -1,8 +1,8 @@
 """First- and second-moment oracles for the branching dynamics.
 
-Everything here is engine-free ground truth: adaptive quadrature against
-the exact killed transition density, plus an independent two-spine Monte
-Carlo estimator of second moments.  The engine is validated against these;
+Everything here is engine-free ground truth: closed forms and adaptive
+Gauss-Legendre quadrature against the exact killed transition density, plus
+an independent two-spine Monte Carlo estimator of second moments.  The engine is validated against these;
 they are validated against each other and against closed forms.
 
 Moment identities used throughout (m denotes one offspring count):
@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import log_ndtr, ndtr
 
 from .kernel import killed_density, sample_killed_steps_batch, survival_probability
 from .model import IntervalSet, ModelParams, ground_state_h, nu_measure
@@ -46,10 +46,9 @@ __all__ = [
 TRUNC_BOUND_C = 16.0
 TRUNC_BOUND_DELTA = 1.0
 
-# Integration tail: the killed density at duration t is dominated by a
-# Gaussian of scale sqrt(t) around x - c t, and by y e^{-c y} near the
-# origin, so [0, x + c t + _TAIL_SIGMAS sqrt(t)] captures the mass to well
-# below quadrature tolerance.
+# Integration tail: in u, y = (x - c t) + sqrt(t) u, the killed density at
+# duration t is a unit-width Gaussian bump, so _TAIL_SIGMAS units on either
+# side of its centre capture the mass to well below quadrature tolerance.
 _TAIL_SIGMAS = 14.0
 
 
@@ -59,52 +58,94 @@ _GL_NODES = 16
 _GL_PANELS = 8
 _gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)  # built on first use
 
+# Adaptive rule (quad): _QUAD_NODES-point Gauss-Legendre panels, bisected at
+# most _QUAD_DEPTH times to relative tolerance _QUAD_EPSREL.  Refining stops
+# once more than _QUAD_MAX_OPEN panels are open: where no panel can close,
+# as for an integral that cancels to roundoff, their number doubles per level.
+_QUAD_NODES = 8
+_QUAD_DEPTH = 40
+_QUAD_EPSREL = 1e-10
+_QUAD_MAX_OPEN = 256
 
-def _panel_rule(lo: float, hi: float, panels: int, breaks) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights: equal panels on [lo, hi], split at breaks."""
-    edges = np.union1d(np.linspace(lo, hi, panels + 1), breaks)
-    xi, wi = _gauss_legendre(_GL_NODES)
-    mid, half = (edges[1:] + edges[:-1]) / 2.0, np.diff(edges) / 2.0
-    return (mid[:, None] + half[:, None] * xi).ravel(), (half[:, None] * wi).ravel()
 
-
-def _check_error(val: float, err: float, lo: float, hi: float, epsrel: float, slack: float = 1.0) -> None:
-    """RuntimeWarning when the achieved abs error exceeds slack * epsrel * |val|."""
-    if err > max(1e-250, abs(val) * epsrel * slack):
+def _check_error(val: float, err: float, lo: float, hi: float, epsrel: float) -> None:
+    """RuntimeWarning when the achieved abs error exceeds epsrel * |val|."""
+    if err > max(1e-250, abs(val) * epsrel):
         warnings.warn(f"quadrature achieved abs error {err:.3e} on [{lo:g},{hi:g}] "
                       f"(value {val:.6e}); tolerance {epsrel:g} not met", RuntimeWarning, stacklevel=4)
 
 
-def _quad_interval(f, lo: float, hi: float, hints=(), epsrel: float = 1e-8) -> float:
-    """Adaptive quadrature on [lo, hi] with interior peak hints."""
+def _panel_sums(f, a: np.ndarray, b: np.ndarray, nodes: int) -> np.ndarray:
+    """Gauss-Legendre estimate on each panel [a_i, b_i], from one call of f on all nodes."""
+    xi, wi = _gauss_legendre(nodes)
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    vals = np.asarray(f(mid[..., None] + half[..., None] * xi))
+    return half * (vals @ wi)
+
+
+def quad(f, lo: float, hi: float, breaks=()) -> float:
+    """Integral over [lo, hi] of a vectorized f by adaptive Gauss-Legendre bisection.
+
+    The panels start as [lo, hi] split at the interior breaks.  Each level
+    halves every open panel and calls f once on all the halves' nodes; a
+    panel closes once its halves' sum is within
+    _QUAD_EPSREL |estimate| width / (hi - lo) of its whole-panel value.  This
+    is the bisection of QUADPACK (Piessens et al., 1983) with a
+    Gauss-Legendre pair in place of Kronrod.  Panels still open after
+    _QUAD_DEPTH levels, or once more than _QUAD_MAX_OPEN are open, count
+    with their halves' sum, and a missed tolerance is a RuntimeWarning.
+    """
     if hi <= lo:
         return 0.0
-    pts = sorted({float(v) for v in hints if lo < v < hi})
-    val, err = quad(f, lo, hi, points=pts or None, limit=200,
-                    epsabs=1e-300, epsrel=epsrel)
-    _check_error(val, err, lo, hi, epsrel, slack=50.0)
+    edges = np.unique(np.clip([lo, *breaks, hi], lo, hi))
+    a, b = edges[:-1], edges[1:]
+    whole = _panel_sums(f, a, b, _QUAD_NODES)
+    done = 0.0
+    for _ in range(_QUAD_DEPTH):
+        m = (a + b) / 2.0
+        halves = _panel_sums(f, np.concatenate([a, m]), np.concatenate([m, b]), _QUAD_NODES)
+        left, right = halves[:a.size], halves[a.size:]
+        pair = left + right
+        moved = np.abs(pair - whole)
+        keep = moved > _QUAD_EPSREL * abs(done + pair.sum()) * (b - a) / (hi - lo)  # nan closes
+        done += float(pair[~keep].sum())
+        if not keep.any():
+            return done
+        if keep.sum() > _QUAD_MAX_OPEN:
+            break
+        a, b = np.concatenate([a[keep], m[keep]]), np.concatenate([m[keep], b[keep]])
+        whole = np.concatenate([left[keep], right[keep]])
+    val = done + float(pair[keep].sum())
+    _check_error(val, float(moved[keep].sum()), lo, hi, _QUAD_EPSREL)
     return val
 
 
-def expected_count(x: float, t: float, B: IntervalSet, params: ModelParams) -> float:
-    """E|N_t(B)| by the first-moment identity (quadrature, rel. tol 1e-8).
+def _killed_mass(x: float, lo: float, hi: float, t: float, params: ModelParams) -> float:
+    """P_x(X_t in (lo, hi), not absorbed) for 0 <= lo < hi <= inf, in closed Phi form.
 
-    B=(0,inf) short-circuits to the closed-form survival probability.
+    Both Gaussian differences go through complementary tails, Phi(b) - Phi(a)
+    = Phi(-a) - Phi(-b), so an upper tail far out keeps its relative accuracy.
+    """
+    c, rt = params.c, math.sqrt(t)
+    a = (np.array([lo, hi]) - x + c * t) / rt
+    b = (np.array([lo, hi]) + x + c * t) / rt
+    free = ndtr(-a[0]) - ndtr(-a[1])
+    image = np.exp(2.0 * c * x + log_ndtr(-b))
+    return max(float(free - (image[0] - image[1])), 0.0)
+
+
+def expected_count(x: float, t: float, B: IntervalSet, params: ModelParams) -> float:
+    """E|N_t(B)| by the first-moment identity, in closed form (rel. tol 1e-8).
+
+    Each interval's killed mass is a difference of Phi terms (_killed_mass),
+    with no quadrature; B=(0,inf) is the survival probability.
     """
     if not (x > 0 and t > 0):
         raise ValueError("expected_count requires x>0 and t>0")
     growth = math.exp(params.r * (params.offspring.mu1 - 1.0) * t)
     if B.intervals == ((0.0, math.inf),):
         return growth * float(survival_probability(x, t, params))
-    upper = x + params.c * t + _TAIL_SIGMAS * math.sqrt(t)
-    hints = (1.0 / params.c, x, x - params.c * t)
-    total = 0.0
-    for lo, hi in B.intervals:
-        total += _quad_interval(
-            lambda y: killed_density(x, y, t, params),
-            lo, min(hi, upper), hints=hints,
-        )
-    return growth * total
+    return growth * sum(_killed_mass(x, lo, hi, t, params) for lo, hi in B.intervals)
 
 
 def expected_count_asymptotic(x: float, t: float, B: IntervalSet, params: ModelParams) -> float:
@@ -118,7 +159,8 @@ def expected_count_asymptotic(x: float, t: float, B: IntervalSet, params: ModelP
 def second_moment_exact(x: float, t: float, params: ModelParams) -> float:
     """E|N_t|^2 by the exact two-term decomposition.
 
-    The outer z integral is adaptive quadrature at relative tolerance 1e-6.
+    The outer z integral is quad at relative tolerance 1e-10, and each of
+    its levels evaluates the inner integral at all of its nodes at once.
     The inner y integral is taken in u, y = (x - c z) + sqrt(z) u, where the
     killed density is a unit-width bulk at every z, by composite
     Gauss-Legendre split where S(y, t-z)^2 rises (y = k sqrt(t-z), k = 1, 4,
@@ -134,22 +176,35 @@ def second_moment_exact(x: float, t: float, params: ModelParams) -> float:
     if mu2 == mu1:  # offspring count a.s. <= 1: no pairs ever coexist
         return term1
 
-    def inner(z: float) -> float:
+    def inner(z: np.ndarray) -> np.ndarray:
         # y = (x - c z) + sqrt(z) u turns p_z(x,y) dy into phi(u) (1 - e^{-2xy/z}) du.
-        tail, rz, m = max(t - z, 0.0), math.sqrt(z), x - params.c * z
-        lo = min(max(-m / rz, -_TAIL_SIGMAS), _TAIL_SIGMAS)
-        rises = np.clip((np.array([1.0, 4.0, 16.0]) * math.sqrt(tail) - m) / rz, lo, _TAIL_SIGMAS)
-        (u1, w1), (u2, w2) = (_panel_rule(lo, _TAIL_SIGMAS, k, rises)
-                              for k in (_GL_PANELS, 2 * _GL_PANELS))
-        u = np.concatenate([u1, u2])
-        y = np.maximum(m + rz * u, 0.0)
-        s = survival_probability(y, tail, params)
-        f = np.exp(-0.5 * u * u) * -np.expm1(-2.0 * x * y / z) * s * s / math.sqrt(2.0 * math.pi)
-        coarse, fine = float(w1 @ f[:u1.size]), float(w2 @ f[u1.size:])
-        _check_error(fine, abs(fine - coarse), lo, _TAIL_SIGMAS, 1e-8)
+        tail, rz, m = np.maximum(t - z, 0.0), np.sqrt(z), x - params.c * z
+        lo = np.clip(-m / rz, -_TAIL_SIGMAS, _TAIL_SIGMAS)
+        rises = np.clip((np.sqrt(tail)[:, None] * [1.0, 4.0, 16.0] - m[:, None]) / rz[:, None],
+                        lo[:, None], _TAIL_SIGMAS)
+        zc, tc, mc, rc = (v[:, None, None] for v in (z, tail, m, rz))
+
+        def f(u: np.ndarray) -> np.ndarray:
+            y = np.maximum(mc + rc * u, 0.0)
+            s = survival_probability(y, tc, params)
+            return np.exp(-0.5 * u * u) * -np.expm1(-2.0 * x * y / zc) * s * s / math.sqrt(2.0 * math.pi)
+
+        def rule(panels: int) -> np.ndarray:
+            # Equal panels on [lo, _TAIL_SIGMAS] split at the rises; a rise
+            # clipped onto an edge adds an empty panel, which sums to 0.
+            edges = np.sort(np.hstack([np.linspace(lo, _TAIL_SIGMAS, panels + 1, axis=1), rises]), axis=1)
+            return _panel_sums(f, edges[:, :-1], edges[:, 1:], _GL_NODES).sum(axis=1)
+
+        coarse, fine = rule(_GL_PANELS), rule(2 * _GL_PANELS)
+        err = np.abs(fine - coarse)
+        worst = int(np.argmax(err - 1e-8 * np.abs(fine)))
+        _check_error(fine[worst], err[worst], lo[worst], _TAIL_SIGMAS, 1e-8)
         return fine
 
-    outer = _quad_interval(lambda z: math.exp(-growth * z) * inner(z), 0.0, t, epsrel=1e-6)
+    def integrand(z: np.ndarray) -> np.ndarray:
+        return np.exp(-growth * z) * inner(z.ravel()).reshape(z.shape)
+
+    outer = quad(integrand, 0.0, t)
     term2 = (mu2 - mu1) * r * math.exp(2.0 * growth * t) * outer
     return term1 + term2
 
@@ -255,19 +310,22 @@ def mean_one_check(x: float, t: float, params: ModelParams) -> float:
     """e^{lambda t} Integral p_t(x,y) h(y) dy / h(x).
 
     Equals 1 for every (x, t) by the eigenrelation of the killed semigroup
-    acting on h; deviations beyond ~1e-8 indicate a kernel defect.
+    acting on h; deviations beyond ~1e-8 indicate a kernel defect.  The
+    integral is quad at relative tolerance 1e-10 over u, y = (x - c t) +
+    sqrt(t) u, within _TAIL_SIGMAS of the bump's centre.
     """
     if not (x > 0 and t > 0):
         raise ValueError("mean_one_check requires x>0 and t>0")
-    upper = x + params.c * t + _TAIL_SIGMAS * math.sqrt(t)
-    # h grows like y e^{c y}, which shifts the integrand's tail: pad further.
-    upper += 2.0 * _TAIL_SIGMAS * math.sqrt(t)
-    hints = (1.0 / params.c, x, x - params.c * t, x + params.c * t)
+    # In u, y = (x - c t) + sqrt(t) u, p_t(x,y) h(y) dy is a unit-width bump
+    # centred near u = c sqrt(t), because e^{c y} shifts the Gaussian there.
+    rt, m = math.sqrt(t), x - params.c * t
+    peak = params.c * rt
 
-    def f(y: float) -> float:
-        return float(killed_density(x, y, t, params)) * float(ground_state_h(y, params))
+    def f(u: np.ndarray) -> np.ndarray:
+        y = m + rt * u
+        return rt * killed_density(x, y, t, params) * ground_state_h(y, params)
 
-    val = _quad_interval(f, 0.0, upper, hints=hints, epsrel=1e-10)
+    val = quad(f, max(-m / rt, peak - _TAIL_SIGMAS), peak + _TAIL_SIGMAS, breaks=(peak,))
     return math.exp(params.lambda_ * t) * val / float(ground_state_h(x, params))
 
 

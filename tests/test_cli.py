@@ -4,12 +4,16 @@ schemas, seed handling, and byte-level determinism of reruns."""
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bbma
 from bbma.cli import RunConfig, UsageError, _make_parser, main, parse_config
 from bbma.experiments import experiment_kesten, verify_samplers
 from bbma.model import ModelParams, OffspringLaw
@@ -402,3 +406,47 @@ def test_phase_command_grid_flags(tmp_path):
     assert len(lines) == 3
     regimes = [line.split(",")[2] for line in lines[1:]]
     assert regimes == ["subcritical", "L2-supercritical"]
+
+
+# ---------------------------------------------------------------------------
+# entry point and imports, in a fresh interpreter
+# ---------------------------------------------------------------------------
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bbma.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+
+
+def test_python_m_bbma_runs_without_warning(tmp_path):
+    proc = _fresh_python("-m", "bbma", "schedule", *SUPER, "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert (tmp_path / "summary.csv").is_file()
+
+
+def test_bench_commands_leave_scipy_stats_and_integrate_unimported(tmp_path):
+    # simulate, phase (one cell per regime) and moments are what the
+    # benchmark runs; none of them may pay for scipy.stats or scipy.integrate.
+    script = f"""
+import sys
+import bbma
+from bbma.cli import main
+out = {str(tmp_path)!r}
+model = ["--c", "1", "--r", "1.5", "--offspring", "dyadic"]
+codes = [
+    main(["simulate", *model, "--horizon", "2", "--replicates", "3", "--trunc-M", "1.25",
+          "--set", "1,inf", "--out", out + "/simulate"]),
+    main(["phase", *model, "--c-grid", "1", "--r-grid", "0.3,1.5", "--horizon", "5",
+          "--replicates", "3", "--out", out + "/phase"]),
+    main(["moments", *model, "--horizon", "1", "--set", "1,inf", "--out", out + "/moments"]),
+]
+print(codes, sorted(m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules))
+"""
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = proc.stdout.strip().split("] ")
+    assert all(c in ("0", "2") for c in codes.strip("[").split(", ")), proc.stdout
+    assert loaded == "[]", proc.stdout

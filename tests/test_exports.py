@@ -6,7 +6,9 @@ import pytest
 
 import bbma
 
-MODULES = ["bbma"] + [f"bbma.{m.name}" for m in pkgutil.iter_modules(bbma.__path__)]
+# bbma.__main__ is the `python -m bbma` entry point, not a library module.
+MODULES = ["bbma"] + [f"bbma.{m.name}" for m in pkgutil.iter_modules(bbma.__path__)
+                      if m.name != "__main__"]
 
 
 @pytest.mark.parametrize("name", MODULES)

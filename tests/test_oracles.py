@@ -61,6 +61,29 @@ def test_expected_count_additive_in_B():
     assert total == pytest.approx(expected_count(1.0, 1.0, AXIS, p), rel=1e-8)
 
 
+# Values of the adaptive scipy quadrature (rel. tol 1e-8) that preceded the
+# closed form: multi-interval sets, tiny x, short and long horizons, and far
+# upper tails whose mass is below 1e-12.
+EXPECTED_COUNTS_BY_QUADRATURE = [
+    (1.0, 2.0, "0,0.5;1,2;3,inf", 0.22419148690011145),
+    (1.0, 20.0, "0,5;10,30", 0.15091746398266181),
+    (1.0, 20.0, "1,inf", 0.10807980017171527),
+    (0.01, 1.0, "0,0.5;2,inf", 0.000871855076589058),
+    (0.01, 3.0, "0.2,1", 0.00047887423452039357),
+    (1.0, 1e-6, "0.999,1.001", 0.682689659780048),
+    (1.0, 1e-6, "0,1", 0.5003992424533852),
+    (1.0, 1e-6, "1,inf", 0.49960135754681345),
+    (2.0, 0.5, "0,0.01", 3.189722243926566e-05),
+    (1.0, 1.0, "7.5,inf", 5.814182294266443e-14),
+    (1.0, 1.0, "8,inf", 1.1335328192951697e-15),
+]
+
+
+@pytest.mark.parametrize("x, t, spec, ref", EXPECTED_COUNTS_BY_QUADRATURE)
+def test_expected_count_matches_quadrature(x, t, spec, ref):
+    assert expected_count(x, t, IntervalSet.parse(spec), params()) == pytest.approx(ref, rel=1e-8)
+
+
 def test_expected_count_empty_set():
     assert expected_count(1.0, 1.0, IntervalSet.empty(), params()) == 0.0
     assert expected_count_asymptotic(1.0, 1.0, IntervalSet.empty(), params()) == 0.0
@@ -142,13 +165,15 @@ def test_second_moment_short_horizon_is_pure_branching(x, t):
     assert second_moment_exact(x, t, p) - mean == pytest.approx(pure, rel=1e-6)
 
 
-# Values of the nested-quadrature implementation that preceded the vectorized
-# inner rule, computed once at extreme inputs: tiny x, long horizon, large c
-# and r, small r, and a pmf with p0 > 0.
+# Pinned values at extreme inputs: tiny x, long horizon, large c and r,
+# small r, and a pmf with p0 > 0.  The first three come from nested scipy
+# quad at relative tolerance 1e-13, with the outer z integral split at points
+# graded geometrically toward z = 0 and z = t; the last two are values of the
+# nested-quadrature implementation that preceded the vectorized inner rule.
 EXTREME_SECOND_MOMENTS = [
-    (0.01, 3.0, dict(), 0.0045357893475090165),
-    (3.0, 20.0, dict(), 609.4854021711833),
-    (1.0, 2.0, dict(c=3.0, r=6.0), 3092.697490255545),
+    (0.01, 3.0, dict(), 0.004535789341006695),
+    (3.0, 20.0, dict(), 609.485402606258),
+    (1.0, 2.0, dict(c=3.0, r=6.0), 3092.6974968308173),
     (1.0, 5.0, dict(r=0.05), 0.015121806081918066),
     (0.5, 4.0, dict(r=1.5, offspring=OffspringLaw.from_pmf({0: 0.2, 2: 0.5, 3: 0.3})),
      103.03979317785361),
@@ -170,6 +195,29 @@ def test_second_moment_reports_missed_inner_tolerance(monkeypatch):
     with pytest.warns(RuntimeWarning, match="not met"):
         val = second_moment_exact(1.0, 1.0, params())
     assert math.isfinite(val)
+
+
+def test_second_moment_reports_missed_outer_tolerance(monkeypatch):
+    # One bisection of the outer z rule cannot reach 1e-10.
+    monkeypatch.setattr(oracles, "_QUAD_DEPTH", 1)
+    with pytest.warns(RuntimeWarning, match="not met"):
+        val = second_moment_exact(1.0, 1.0, params())
+    assert math.isfinite(val)
+
+
+def test_quad_closed_forms():
+    assert oracles.quad(np.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-14)
+    # A kink at a break point and an empty interval.
+    assert oracles.quad(np.abs, -1.0, 2.0, breaks=(0.0,)) == pytest.approx(2.5, rel=1e-14)
+    assert oracles.quad(np.exp, 1.0, 1.0) == 0.0
+
+
+def test_quad_stops_refining_an_integral_that_cancels():
+    # sin over a full period is 0 up to roundoff, which no panel's tolerance
+    # can meet: refining stops at the open-panel cap with a warning.
+    with pytest.warns(RuntimeWarning, match="not met"):
+        val = oracles.quad(np.sin, 0.0, 2.0 * math.pi)
+    assert abs(val) < 1e-12
 
 
 def test_second_moment_cauchy_schwarz():
@@ -255,10 +303,14 @@ def test_spine_symmetric_in_sets():
 # -- martingale normalization ------------------------------------------------
 
 
-@pytest.mark.parametrize("x, c, t", [(1.0, 1.0, 1.0), (0.1, 2.0, 5.0), (5.0, 0.5, 0.1)])
+@pytest.mark.parametrize("x, c, t", [(1.0, 1.0, 1.0), (0.1, 2.0, 5.0), (5.0, 0.5, 0.1),
+                                     # extreme inputs
+                                     (0.01, 1.0, 1.0), (0.01, 3.0, 20.0), (10.0, 0.2, 50.0),
+                                     (1.0, 5.0, 0.01), (3.0, 1.0, 1e-4), (1.0, 1.0, 1e-6)])
 def test_mean_one_check(x, c, t):
-    p = params(c=c)
-    assert abs(mean_one_check(x, t, p) - 1.0) < MEAN_ONE_TOL
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(mean_one_check(x, t, params(c=c)) - 1.0) < MEAN_ONE_TOL
 
 
 # -- truncated second-moment envelope ----------------------------------------
