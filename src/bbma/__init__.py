@@ -42,6 +42,7 @@ from .oracles import (
     SpinePair,
     expected_count,
     expected_count_asymptotic,
+    extinction_probability,
     mean_one_check,
     sample_spine_pair,
     second_moment_exact,
@@ -75,7 +76,7 @@ __all__ = [
     "Census", "EventRecorder", "MartingaleTrace",
     "ReplicateResult", "run_replicate", "spawn_rng_stream",
     "truncation_flags_for",
-    "SpinePair", "expected_count", "expected_count_asymptotic",
+    "SpinePair", "expected_count", "expected_count_asymptotic", "extinction_probability",
     "mean_one_check", "sample_spine_pair", "second_moment_exact",
     "spine_second_moment_mc", "truncated_second_moment_bound",
     "ExperimentReport", "experiment_empirical_qsd", "experiment_kesten",

@@ -29,9 +29,14 @@ import numpy as np
 
 from .kernel import sample_killed_steps_batch
 from .model import IntervalSet, ModelParams, ground_state_h
+from .oracles import _kesten_wave
 
 # Branch-vs-census ties inside this window are processed as branch first.
 TIE_EPS = 1e-15
+# run_replicate(certify_survival=True) stops once the conditional probability
+# of eventual extinction is below this.
+CERTIFY_EPS = 1e-12
+_LOG_CERTIFY_EPS = math.log(CERTIFY_EPS)
 
 __all__ = [
     "Census",
@@ -104,11 +109,21 @@ class MartingaleTrace:
 
 @dataclass(frozen=True)
 class ReplicateResult:
+    """One replicate's censuses, trace and end state.
+
+    status is "ok" (ran to the horizon), "population_cap_exceeded" or
+    "certified_survival" (see run_replicate); the last two stop early, with
+    the censuses taken so far.  extinction_bound is, for a certified
+    replicate, the upper bound prod_i q(x_i) < CERTIFY_EPS on the conditional
+    probability of eventual extinction at the stop, else None.
+    """
+
     censuses: list[Census]
     trace: MartingaleTrace
     status: str
     n_events: int
     counters: dict[str, int]
+    extinction_bound: float | None = None
 
 
 class EventRecorder:
@@ -203,6 +218,7 @@ class _Run:
         population_cap,
         event_recorder,
         checkpoint_chains,
+        certify_survival,
     ) -> None:
         self.params = params
         self.x0 = float(x0)
@@ -214,6 +230,9 @@ class _Run:
         self.cap = int(population_cap)
         self.recorder = event_recorder
         self.keep_chains = bool(checkpoint_chains)
+        # Kesten's q with its upper bound; None without the stop, and for
+        # sub/critical models, which never stop (q = 1)
+        self.q_wave = _kesten_wave(params) if certify_survival else None
 
         # Each test is written so that NaN fails it.
         if not 0 < self.x0 < math.inf:
@@ -232,6 +251,7 @@ class _Run:
         self.died_childless = 0
         self.n_events = 0
         self.status = "ok"
+        self.extinction_bound = None
 
         # The active cohort: the root particle, checked at time 0.
         co = _Cohort.zeros(1)
@@ -258,8 +278,9 @@ class _Run:
         """Advance every active particle from t_start to t_end.
 
         Returns the particles alive at t_end and the interval's checkpoint
-        table (see _open_table), into which their chains point; None on cap
-        abort, with the cohort left as it was at the aborted phase.
+        table (see _open_table), into which their chains point.  Returns None
+        on cap abort, with the cohort left as it was at the aborted phase, and
+        on certified survival, with the cohort set to the frontier.
         """
         p = self.params
         rng = self.rng
@@ -275,9 +296,22 @@ class _Run:
         # Particles enter an interval synchronized at the previous census,
         # so every remaining-time starts at the full interval length.
         rem = np.full(co.size, t_end - t_start)
+        parked_log_q, n_scored = 0.0, 0
 
         while co.size:
             n = co.size
+            if self.q_wave is not None:
+                # The frontier (the active cohort and the particles parked at
+                # t_end) is a stopping line: its subtrees are independent, so
+                # prod q over it is the conditional extinction probability.
+                parked_log_q += sum(self._log_q_upper(c.pos) for c in parked[n_scored:])
+                n_scored = len(parked)
+                log_q = parked_log_q + self._log_q_upper(co.pos)
+                if log_q < _LOG_CERTIFY_EPS:
+                    self.status = "certified_survival"
+                    self.extinction_bound = math.exp(log_q)
+                    self.co = _Cohort.concat([*parked, co])
+                    return None
             if self.n_events + n > self.cap:
                 self.status = "population_cap_exceeded"
                 self.co = co
@@ -331,6 +365,11 @@ class _Run:
             rem = child_rem[keep]
 
         return _Cohort.concat(parked), table
+
+    def _log_q_upper(self, pos: np.ndarray) -> float:
+        """An upper bound on the sum over pos of log q."""
+        wave = self.q_wave
+        return float(wave.upper_log_q[np.searchsorted(wave.upper_x, pos, side="right") - 1].sum())
 
     # -- census assembly ---------------------------------------------------
 
@@ -430,6 +469,7 @@ class _Run:
             status=self.status,
             n_events=self.n_events,
             counters=counters,
+            extinction_bound=self.extinction_bound,
         )
 
 
@@ -445,6 +485,7 @@ def run_replicate(
     population_cap: int = 10_000_000,
     event_recorder: EventRecorder | None = None,
     checkpoint_chains: bool = True,
+    certify_survival: bool = False,
 ) -> ReplicateResult:
     """Simulate one replicate started from a single particle at x0.
 
@@ -457,8 +498,20 @@ def run_replicate(
     flag, so D_trunc is biased upward; window_escape_bounds brackets the
     path-continuous escape after the fact).  Without a window every flag is
     true.
-    Exceeding population_cap cumulative particle-events aborts the
-    replicate with status "population_cap_exceeded" and partial censuses.
+    A replicate that reaches the horizon has status "ok".  Exceeding
+    population_cap cumulative particle-events aborts it with status
+    "population_cap_exceeded" and partial censuses.
+
+    certify_survival=True stops a replicate once survival is certain up to
+    CERTIFY_EPS: before each cohort phase it sums log q_upper(x) over the
+    frontier, the active particles and those already at the interval's end,
+    where q_upper bounds Kesten's extinction probability from above
+    (oracles.extinction_probability, tabulated once per model).  Below
+    log CERTIFY_EPS the replicate ends with status "certified_survival",
+    partial censuses and the bound in extinction_bound; its last particles
+    (the frontier, at mixed times) count as alive_final.  This check runs
+    before the cap check and draws nothing, so a stopped replicate's stream
+    is a prefix of the unstopped one.  Sub/critical models never stop (q = 1).
 
     checkpoint_chains=False drops the per-census checkpoint trees, whose
     size is O(branch events + alive particles) per census and dominates
@@ -472,7 +525,7 @@ def run_replicate(
         raise ValueError("run_replicate requires an rng; see spawn_rng_stream")
     return _Run(
         params, x0, horizon, census_grid, truncation_M, rng, interval_sets,
-        population_cap, event_recorder, checkpoint_chains,
+        population_cap, event_recorder, checkpoint_chains, certify_survival,
     ).run()
 
 

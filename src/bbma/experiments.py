@@ -546,6 +546,16 @@ def experiment_phase_diagram(
     at significance 0.01, evaluated at a per-cell horizon trimmed to desk
     scale but still long enough that e^{g t} >= 50 (else flagged infeasible).
     An empty grid has no cell to judge and raises ValueError.
+
+    A replicate survived if it is alive at the cell's horizon or, in a
+    supercritical cell, once run_replicate(certify_survival=True) certifies
+    it: its frontier's prod q(x_i), Kesten's extinction probability, fell
+    below CERTIFY_EPS.  A certified replicate dies out by the horizon with
+    probability below CERTIFY_EPS, so certification changes a cell's count
+    with probability at most n CERTIFY_EPS.  A replicate that hit the
+    population cap without a certificate is undecided: it does not count as
+    survived, and its cell fails with a message.  Each cell reports its
+    `certified` and `undecided` counts.
     """
     if not len(c_grid) or not len(r_grid):
         raise ValueError("phase diagram requires a non-empty c_grid and r_grid")
@@ -570,20 +580,22 @@ def experiment_phase_diagram(
             def job(j: int, params=params, h_eff=h_eff, base=cell_index * n):
                 rng = spawn_rng_stream(seed, base + j)
                 res = run_replicate(params, x0, h_eff, [h_eff], None, rng,
-                                    checkpoint_chains=False)
-                if res.status == "population_cap_exceeded":
-                    # runaway growth aborted before the census: that is
-                    # survival, not missing data
-                    return res.n_events, 1
-                return res.n_events, int(res.trace.n_alive[-1] > 0)
+                                    checkpoint_chains=False, certify_survival=super_cell)
+                if res.status == "ok":
+                    return res.n_events, "survived" if res.trace.n_alive[-1] > 0 else "extinct"
+                return res.n_events, res.status
 
             out = [job(i) for i in range(n)]
             n_events += sum(o[0] for o in out)
-            survived = sum(o[1] for o in out)
+            outcomes = [o[1] for o in out]
+            certified = outcomes.count("certified_survival")
+            undecided = outcomes.count("population_cap_exceeded")
+            survived = outcomes.count("survived") + certified
             freq = survived / n
             cell = {
                 "c": float(c), "r": float(r), "regime": regime.value,
                 "horizon": h_eff, "n": n, "survived": survived, "frequency": freq,
+                "certified": certified, "undecided": undecided,
             }
             if super_cell:
                 growth = math.exp(params.growth_exponent * h_eff)
@@ -597,6 +609,10 @@ def experiment_phase_diagram(
                     cell["message"] = "horizon too short for an informative survival test"
             else:
                 cell["ok"] = bool(freq <= EXTINCTION_FREQ)
+            if undecided:
+                cell["ok"] = False
+                note = f"{undecided} replicates hit the population cap without a verdict"
+                cell["message"] = f"{cell['message']}; {note}" if "message" in cell else note
             all_ok = all_ok and cell["ok"]
             cells.append(cell)
             records.append(cell)

@@ -1,9 +1,11 @@
 """First- and second-moment oracles for the branching dynamics.
 
 Everything here is engine-free ground truth: closed forms and adaptive
-Gauss-Legendre quadrature against the exact killed transition density, plus
-an independent two-spine Monte Carlo estimator of second moments.  The engine is validated against these;
-they are validated against each other and against closed forms.
+Gauss-Legendre quadrature against the exact killed transition density, an
+independent two-spine Monte Carlo estimator of second moments, and Kesten's
+ever-extinction probability q(x) from its travelling-wave ODE.  The engine is
+validated against these; they are validated against each other and against
+closed forms.
 
 Moment identities used throughout (m denotes one offspring count):
   E|N_t(B)|       = e^{r(mu1-1) t} * Integral_B p_t(x,y) dy
@@ -19,17 +21,19 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .kernel import killed_density, sample_killed_steps_batch, survival_probability
-from .model import IntervalSet, ModelParams, ground_state_h, nu_measure
+from .model import IntervalSet, ModelParams, Regime, classify_regime, ground_state_h, nu_measure
 
 __all__ = [
     "SpinePair",
     "expected_count",
     "expected_count_asymptotic",
+    "extinction_probability",
     "second_moment_exact",
     "sample_spine_pair",
     "spine_second_moment_mc",
@@ -66,6 +70,13 @@ _QUAD_NODES = 8
 _QUAD_DEPTH = 40
 _QUAD_EPSREL = 1e-10
 _QUAD_MAX_OPEN = 256
+
+# Kesten's q (extinction_probability): RK4 in x with steps _Q_STEP over the
+# fastest linear rate at the saddle, from q - q_inf = _Q_START up to q = 1.
+_Q_STEP = 0.04
+_Q_START = 1e-15
+_Q_LINEAR = 1e-14
+_Q_MAX_STEPS = 1_000_000
 
 
 def _check_error(val: float, err: float, lo: float, hi: float, epsrel: float) -> None:
@@ -356,3 +367,199 @@ def truncated_second_moment_bound(
         raise ValueError(f"M={M:g} exceeds delta*s^(1/4)={delta * s**0.25:g}")
     g = params.growth_exponent
     return C * float(ground_state_h(x, params)) * math.exp(g * s / 2.0) * (t**-1.5 * math.exp(g * t)) ** 2
+
+
+# -- Kesten's extinction probability -----------------------------------------
+
+
+class _KestenWave(NamedTuple):
+    """The q ODE solved on nodes spaced h apart in x, ascending; node 0 is the
+    last one at or below x = 0 (q >= 1).  s = log(q - q_inf) and w = ds/dx at
+    each node.  x_err and s_err bound, by step doubling, the error of the node
+    positions and of s.
+
+    upper_x and upper_log_q bound q from above: q(x) <= exp(upper_log_q[k])
+    for the last k with upper_x[k] <= x, searchsorted(upper_x, x, "right") -
+    1.  Each node is moved up by x_err and its s by s_err, so the value holds
+    at the true node, which lies at or below x, and q decreases in x.  Past
+    the last node the last value holds; upper_x[0] = -inf stands for every x
+    (log q <= 0).
+    """
+
+    q_inf: float
+    kappa: float
+    h: float
+    x: np.ndarray
+    s: np.ndarray
+    w: np.ndarray
+    x_err: float
+    s_err: float
+    upper_x: np.ndarray
+    upper_log_q: np.ndarray
+
+
+def _smallest_fixed_point(pmf: np.ndarray) -> float:
+    """Smallest root in [0, 1] of f(q) = q, f(q) = sum_k pmf[k] q^k, for a mean
+    above 1.  f(q) - q is convex and decreasing up to that root, so Newton's
+    method from 0 climbs to it monotonically."""
+    if pmf[0] == 0.0:
+        return 0.0
+    f = np.polynomial.Polynomial(pmf)
+    df = f.deriv()
+    q = 0.0
+    for _ in range(200):
+        step = (f(q) - q) / (1.0 - df(q))
+        if not step > 0.0:
+            break
+        q += step
+    return float(q)
+
+
+def _wave_rk4(c: float, low: list[float], high: list[float], s0: float, w0: float,
+              s_end: float, h: float):
+    """RK4 path of (s, w) from (s0, w0) in steps h of y = -x toward q = 1.
+
+    ds/dy = -w and dw/dy = w (w - 2c) + 2 r (f(q) - q) / u, u = e^s.  The
+    last term is a polynomial in u (coefficients low, highest first) for
+    u below half its range, else v / u times one in v = 1 - q (high), so it
+    keeps its relative accuracy at both ends, where f(q) - q vanishes.
+
+    Returns s and w at the nodes, the y where q = 1 and whether that y is
+    bounded by step doubling.  If a step crosses q = 1, y is the root of the
+    cubic Hermite interpolant of s on that step.  If the path first comes
+    within _Q_LINEAR of q = 1 (near criticality, where q'(0) can be below
+    1e-20), the rest follows the ODE linearized at q = 1, v'' = 2c v' -
+    (c^2 + beta^2) v, whose solution through v(0) = 0 is e^{cx} sin(beta x):
+    the distance left is arccot((v'/v - c) / beta) / beta.
+    """
+    span = math.exp(s_end)
+
+    def rates(s: float, w: float) -> tuple[float, float]:
+        u, g = math.exp(s), 0.0
+        if u < 0.5 * span:
+            for coef in low:
+                g = g * u + coef
+        else:
+            v = -span * math.expm1(s - s_end)
+            for coef in high:
+                g = g * v + coef
+            g *= v / u
+        return -w, w * (w - 2.0 * c) + g
+
+    s, w = s0, w0
+    S, W = [s], [w]
+    while (v := -span * math.expm1(s - s_end)) > _Q_LINEAR * span:
+        if len(S) > _Q_MAX_STEPS:
+            raise RuntimeError("extinction-probability ODE did not reach q = 1")
+        ds1, dw1 = rates(s, w)
+        ds2, dw2 = rates(s + 0.5 * h * ds1, w + 0.5 * h * dw1)
+        ds3, dw3 = rates(s + 0.5 * h * ds2, w + 0.5 * h * dw2)
+        ds4, dw4 = rates(s + h * ds3, w + h * dw3)
+        s += h / 6.0 * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4)
+        w += h / 6.0 * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
+        S.append(s)
+        W.append(w)
+    if v > 0.0:
+        beta = math.sqrt(-high[-1] - c * c)  # high[-1] = 2 r (1 - mu1)
+        left = math.atan2(beta, -w * math.exp(s) / v - c) / beta
+        return np.array(S), np.array(W), (len(S) - 1) * h + left, False
+    a, b, da, db = S[-2], S[-1], -W[-2] * h, -W[-1] * h
+    lo, hi = 0.0, 1.0
+    for _ in range(60):  # s rises on the step (ds/dy = -w > 0): bisect
+        t = 0.5 * (lo + hi)
+        if a + t * (da + t * (3.0 * (b - a) - 2.0 * da - db + t * (2.0 * (a - b) + da + db))) < s_end:
+            lo = t
+        else:
+            hi = t
+    return np.array(S), np.array(W), (len(S) - 2 + lo) * h, True
+
+
+@functools.cache
+def _kesten_wave(params: ModelParams) -> _KestenWave | None:
+    """Solve for q once per model; None for sub/critical models, where q = 1.
+
+    With p = q' as a function of q, 1/2 p dp/dq = c p - r (f(q) - q).  The
+    solution leaves the saddle (q_inf, 0) on its stable manifold p ~ kappa
+    (q - q_inf), kappa = c - sqrt(c^2 + 2 r (1 - f'(q_inf))), and x(q) is
+    Integral_q^1 dq / |p|.  In s = log(q - q_inf) and w = p / (q - q_inf) =
+    ds/dx this path is integrated with x itself as the variable, that is in
+    steps of x(q) = Integral ds / |w|, from q - q_inf = _Q_START (1 - q_inf)
+    with w = kappa (off the manifold by O(_Q_START)) until q = 1, which fixes
+    x = 0.  Equal steps in s would be too coarse near q = 1, where |p| can be
+    small and 1 / |p| peaks.  The step is _Q_STEP over the fastest linear
+    rate at the saddle, c + sqrt(...).  Rerunning at twice the step bounds
+    the error (about 15 times the error of the finer run, for RK4); the
+    bounds add the rounding of the running sum s, one unit in the last place
+    per step.  A path that ends on the linearized tail (see _wave_rk4) has
+    no bound on its node positions: x_err is inf.
+    """
+    if classify_regime(params) in (Regime.SUBCRITICAL, Regime.CRITICAL):
+        return None
+    c, r = params.c, params.r
+    pmf = np.zeros(int(params.offspring.support.max()) + 1)
+    for k, p in params.offspring.pmf:
+        pmf[k] = p
+    q_inf = _smallest_fixed_point(pmf)
+    # f(q_inf + u) = sum_j b_j u^j with b_0 = q_inf, so (f(q) - q) / u is
+    # b_1 - 1 + b_2 u + ..., free of cancellation as u -> 0.
+    # Likewise f(1 - v) - (1 - v) = v (1 - mu1 + e_2 v + ...).
+    f = np.polynomial.Polynomial(pmf)
+    low = f(np.polynomial.Polynomial([q_inf, 1.0])).coef[1:]
+    low[0] -= 1.0
+    high = f(np.polynomial.Polynomial([1.0, -1.0])).coef[1:]
+    high[0] += 1.0
+    root = math.sqrt(c * c - 2.0 * r * low[0])
+    kappa = c - root
+    h = _Q_STEP / (c + root)
+    s0 = math.log(_Q_START) + math.log1p(-q_inf)
+    args = (c, (2.0 * r * low[::-1]).tolist(), (2.0 * r * high[::-1]).tolist(), s0, kappa,
+            math.log1p(-q_inf))
+    s, w, y_end, crossed = _wave_rk4(*args, h)
+    s_coarse, _, y_coarse, crossed_coarse = _wave_rk4(*args, 2.0 * h)
+    m = min(s_coarse.size, (s.size + 1) // 2)
+    # Rounding s by one ulp delays the path by ulp / |w| in y.
+    ulps = np.spacing(np.abs(s))
+    x_err = math.inf
+    if crossed and crossed_coarse:
+        x_err = abs(y_end - y_coarse) + float(np.sum(ulps / np.abs(w)))
+    s_err = float(np.max(np.abs(s[:2 * m:2] - s_coarse[:m])) + np.sum(ulps))
+    x = (y_end - h * np.arange(s.size))[::-1]
+    s, w = s[::-1], w[::-1]
+    upper_x, upper_log_q = x + x_err, np.minimum(np.log(q_inf + np.exp(s + s_err)), 0.0)
+    upper_x[0], upper_log_q[0] = -np.inf, 0.0
+    return _KestenWave(q_inf, kappa, h, x, s, w, x_err, s_err, upper_x, upper_log_q)
+
+
+def extinction_probability(x, params: ModelParams):
+    """Kesten's q(x): the probability that the population started from one
+    particle at x >= 0 ever dies out (Kesten 1978, "Branching Brownian
+    motion with absorption", SPA 7).
+
+    q solves 1/2 q'' - c q' + r (f(q) - q) = 0 with q(0) = 1 and q(inf) =
+    q_inf, the smallest fixed point in [0, 1] of the offspring generating
+    function f (0 when p_0 = 0).  Sub/critical models die out surely: q = 1.
+    Otherwise the solution of _kesten_wave (about 1e-9 relative error) is
+    interpolated by cubic Hermite in x on log(q - q_inf), and beyond its last
+    node extended as q_inf + C e^{kappa x}.  Given particles alive at x_i, the
+    branching property makes prod_i q(x_i) the conditional probability of
+    eventual extinction; run_replicate(certify_survival=True) stops on it.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(x >= 0):
+        raise ValueError("extinction_probability requires x >= 0")
+    wave = _kesten_wave(params)
+    if wave is None:
+        out = np.ones(x.shape)
+    else:
+        xin = np.minimum(x, wave.x[-1])
+        j = np.clip(((xin - wave.x[0]) / wave.h).astype(np.int64), 0, wave.x.size - 2)
+        t = np.clip((xin - wave.x[j]) / wave.h, 0.0, 1.0)
+        a, b = wave.s[j], wave.s[j + 1]
+        da, db = wave.w[j] * wave.h, wave.w[j + 1] * wave.h
+        s = a + t * (da + t * (3.0 * (b - a) - 2.0 * da - db + t * (2.0 * (a - b) + da + db)))
+        s = np.where(x > wave.x[-1], wave.s[-1] + wave.kappa * (x - wave.x[-1]), s)
+        q = np.minimum(wave.q_inf + np.exp(s), 1.0)
+        if wave.x[0] > 0:  # after a linearized tail: q > 1 - _Q_LINEAR, linear from q(0) = 1
+            q = np.where(x < wave.x[0], 1.0 - (1.0 - q) * x / wave.x[0], q)
+        out = np.where(x > 0, q, 1.0)
+    return float(out) if out.ndim == 0 else out

@@ -18,20 +18,23 @@ import math
 import time
 
 import numpy as np
-from scipy import integrate
+import pytest
+from scipy import integrate, stats
 
 from bbma import (
     IntervalSet,
     ModelParams,
     OffspringLaw,
     expected_count,
+    extinction_probability,
     second_moment_exact,
     spine_second_moment_mc,
     survival_probability,
 )
 from bbma.cli import main
-from bbma.engine import run_replicate, spawn_rng_stream
+from bbma.engine import CERTIFY_EPS, run_replicate, spawn_rng_stream
 from bbma.experiments import (
+    SIGNIFICANCE,
     experiment_empirical_qsd,
     experiment_kesten,
     experiment_phase_diagram,
@@ -218,6 +221,29 @@ def test_10_phase_diagram_extinction_vs_survival():
     )
     _verdict(10, "phase diagram: subcritical dies out, supercritical survives",
              rep.passed, detail, elapsed, 300.0)
+
+
+@pytest.mark.parametrize("seed", [818, 2024, 31337, 4242])
+def test_12_certified_survival_fraction_matches_kesten_q(seed):
+    # Acceptance 10's grid; seed 818 is its run, the others are independent.
+    # A certificate is wrong (the replicate dies out after all) with
+    # probability below CERTIFY_EPS, so the n certificates carry n CERTIFY_EPS
+    # of slack: the two-sided test keeps the larger p-value over the null's
+    # ends 1 - q(x0) and 1 - q(x0) + CERTIFY_EPS.  Eventual survivors still
+    # uncertified at the cell's horizon bias the count low; they are not in
+    # the slack (1 of 131 survivors at seed 818).
+    t0 = time.perf_counter()
+    rep = experiment_phase_diagram([1.0], [0.3, 1.5], OffspringLaw.dyadic(),
+                                   1.0, 100.0, 500, seed)
+    elapsed = time.perf_counter() - t0
+    cell = rep.aggregates["cells"][1]
+    n, k = cell["n"], cell["certified"]
+    p_survive = 1.0 - extinction_probability(1.0, REF)
+    pval = max(stats.binomtest(k, n, p).pvalue for p in (p_survive, p_survive + CERTIFY_EPS))
+    detail = (f"seed {seed}: certified {k}/{n} (survived {cell['survived']}) "
+              f"vs 1 - q(1) = {p_survive:.4f}, two-sided p {pval:.3f}")
+    _verdict(12, "certified survival fraction matches Kesten's 1 - q(x0)",
+             pval >= SIGNIFICANCE, detail, elapsed, 60.0)
 
 
 def _tree_digest(root) -> dict:

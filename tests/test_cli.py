@@ -406,6 +406,8 @@ def test_phase_command_grid_flags(tmp_path):
     assert len(lines) == 3
     regimes = [line.split(",")[2] for line in lines[1:]]
     assert regimes == ["subcritical", "L2-supercritical"]
+    cells = [json.loads(line) for line in _read(str(out / "report.jsonl")).splitlines()]
+    assert [(cell["certified"] > 0, cell["undecided"]) for cell in cells] == [(False, 0), (True, 0)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbma import engine
 from bbma.engine import (
+    CERTIFY_EPS,
     EventRecorder,
     run_replicate,
     spawn_rng_stream,
@@ -183,6 +185,88 @@ def test_population_cap_aborts_with_status():
     k = res.counters
     assert k["created"] == (k["alive_final"] + k["absorbed"]
                             + k["died_childless"] + k["branched"])
+
+
+# -- certified survival ------------------------------------------------------
+
+# p0 > 0, so q(inf) > 0: r (mu1 - 1) = 1.05 > c^2 / 2
+PMF_P0 = OffspringLaw.from_pmf({0: 0.2, 1: 0.1, 2: 0.5, 3: 0.2})
+
+
+def _spy_steps(monkeypatch) -> list:
+    """Record the (positions, durations) of every killed-step call."""
+    calls = []
+    real = engine.sample_killed_steps_batch
+
+    def spy(pos, dt, p, rng):
+        calls.append((pos.copy(), dt.copy()))
+        return real(pos, dt, p, rng)
+
+    monkeypatch.setattr(engine, "sample_killed_steps_batch", spy)
+    return calls
+
+
+def test_certified_stream_is_prefix_of_unstopped(monkeypatch):
+    calls = _spy_steps(monkeypatch)
+    p = params(r=1.5)
+    for i in range(50):
+        calls.clear()
+        res = run_replicate(p, 1.0, 8.0, [4.0, 8.0], None, spawn_rng_stream(61, i),
+                            certify_survival=True)
+        if res.status == "certified_survival":
+            break
+    stopped = list(calls)
+    calls.clear()
+    full = run_replicate(p, 1.0, 8.0, [4.0, 8.0], None, spawn_rng_stream(61, i))
+    assert full.status == "ok" and 0 < len(stopped) < len(calls)
+    for (pos_a, dt_a), (pos_b, dt_b) in zip(stopped, calls):
+        np.testing.assert_array_equal(pos_a, pos_b)
+        np.testing.assert_array_equal(dt_a, dt_b)
+
+
+@pytest.mark.parametrize("law, x0, horizon", [(DYADIC, 1.0, 8.0), (PMF_P0, 3.0, 10.0)],
+                         ids=["dyadic", "p0"])
+def test_certified_replicates_survive_the_horizon(law, x0, horizon):
+    p = params(r=1.5, offspring=law)
+    certified = 0
+    for i in range(200):
+        res = run_replicate(p, x0, horizon, [horizon], None, spawn_rng_stream(67, i),
+                            checkpoint_chains=False, certify_survival=True)
+        k = res.counters
+        assert k["created"] == k["alive_final"] + k["absorbed"] + k["died_childless"] + k["branched"]
+        if res.status != "certified_survival":
+            assert res.extinction_bound is None
+            continue
+        certified += 1
+        assert 0.0 <= res.extinction_bound < CERTIFY_EPS
+        full = run_replicate(p, x0, horizon, [horizon], None, spawn_rng_stream(67, i),
+                             checkpoint_chains=False)
+        assert full.status == "ok" and full.trace.n_alive[-1] > 0, i
+    assert certified >= 30
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5])
+def test_certify_never_stops_subcritical(r):
+    p = params(r=r)
+    for i in range(200):
+        args = (p, 1.0, 20.0, [10.0, 20.0], None)
+        res = run_replicate(*args, spawn_rng_stream(71, i), certify_survival=True)
+        ref = run_replicate(*args, spawn_rng_stream(71, i))
+        assert res.status == ref.status == "ok" and res.extinction_bound is None
+        assert res.n_events == ref.n_events and res.counters == ref.counters
+        np.testing.assert_array_equal(res.trace.d, ref.trace.d)
+
+
+def test_certify_check_runs_before_cap_check():
+    # q(40) is far below CERTIFY_EPS: certified before the first phase, so a
+    # cap of zero events never fires; without the stop it does.
+    p = params(r=1.5)
+    res = run_replicate(p, 40.0, 5.0, [5.0], None, spawn_rng_stream(0, 0),
+                        population_cap=0, certify_survival=True)
+    assert res.status == "certified_survival" and res.n_events == 0
+    assert res.counters["alive_final"] == 1
+    res = run_replicate(p, 40.0, 5.0, [5.0], None, spawn_rng_stream(0, 0), population_cap=0)
+    assert res.status == "population_cap_exceeded"
 
 
 # -- statistical contracts ---------------------------------------------------

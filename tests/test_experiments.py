@@ -3,6 +3,7 @@ pinned seeds, degenerate-input paths, schedule diagnostics, and the sampler
 verification suites (including the corruption fixture that proves they can
 fail)."""
 
+import functools
 import json
 import math
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbma import experiments
 from bbma.experiments import (
     DESK_POP_CAP,
     experiment_empirical_qsd,
@@ -304,6 +306,26 @@ def test_phase_flags_uninformative_horizon():
     assert not cell["ok"]
     assert "horizon too short" in cell["message"]
     assert not rep.passed
+
+
+def test_phase_certifies_supercritical_survivors(phase_report):
+    sub, sup = phase_report.aggregates["cells"]
+    assert sub["certified"] == sub["undecided"] == sup["undecided"] == 0
+    assert 0 < sup["certified"] <= sup["survived"]
+
+
+def test_phase_cap_abort_is_undecided_not_survived(monkeypatch):
+    # 20 particle-steps stop every survivor before it can be certified; a
+    # cap abort used to count as survival and pass this cell.
+    monkeypatch.setattr(experiments, "run_replicate",
+                        functools.partial(run_replicate, population_cap=20))
+    rep = experiment_phase_diagram([1.0], [1.5], OffspringLaw.dyadic(), 1.0, 100.0, 40, 5)
+    cell = rep.aggregates["cells"][0]
+    assert cell["undecided"] > 0
+    assert cell["survived"] == cell["certified"] == 0
+    assert cell["frequency"] == 0.0
+    assert "population cap" in cell["message"]
+    assert not cell["ok"] and not rep.passed
 
 
 @pytest.mark.parametrize("c_grid, r_grid", [([], [1.5]), ([1.0], []), ([], [])])

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from bbma.oracles import (
     SpinePair,
     expected_count,
     expected_count_asymptotic,
+    extinction_probability,
     mean_one_check,
     sample_spine_pair,
     second_moment_exact,
@@ -349,3 +352,117 @@ def test_truncation_bound_dominates_engine_estimate():
         sq[i] = float(res.censuses[-1].truncated_flags.sum()) ** 2
     bound = truncated_second_moment_bound(1.0, 6.0, 0.0, 3.0, p)
     assert sq.mean() < bound
+
+
+# -- Kesten's extinction probability ------------------------------------------
+
+# p0 > 0: q(inf) is the smallest root of f(q) = 0.2 + 0.1 q + 0.5 q^2 + 0.2 q^3 = q
+PMF_P0 = OffspringLaw.from_pmf({0: 0.2, 1: 0.1, 2: 0.5, 3: 0.2})
+P1_LAW = OffspringLaw.from_pmf({1: 0.3, 2: 0.7})
+SUPER_MODELS = [params(r=1.5), params(r=0.6), params(r=1.5, offspring=P1_LAW),
+                params(c=3.0, r=6.0), params(r=1.5, offspring=PMF_P0)]
+
+
+def _q_inf(law: OffspringLaw) -> float:
+    return oracles._kesten_wave(params(r=1.5, offspring=law)).q_inf
+
+
+@pytest.fixture(scope="module")
+def bvp_reference():
+    """perfbench/reference.py (scipy solve_bvp on [0, 40]), loaded read-only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _dense(law: OffspringLaw) -> list[float]:
+    pmf = [0.0] * (int(law.support.max()) + 1)
+    for k, p in law.pmf:
+        pmf[k] = p
+    return pmf
+
+
+@pytest.mark.parametrize("p", SUPER_MODELS)
+def test_extinction_probability_one_at_origin_decreasing_to_q_inf(p):
+    xs = np.linspace(0.0, 60.0, 6001)
+    q = extinction_probability(xs, p)
+    assert extinction_probability(0.0, p) == 1.0 and q[0] == 1.0
+    assert np.all(np.diff(q) <= 0.0) and q[1] < 1.0
+    q_inf = oracles._kesten_wave(p).q_inf
+    assert extinction_probability(200.0, p) == pytest.approx(q_inf, abs=1e-13)
+    assert extinction_probability(math.inf, p) == q_inf
+
+
+def test_extinction_probability_p0_limit_is_smallest_fixed_point():
+    # f(q) = 0.1 + 0.9 q^2 has fixed points 1/9 and 1
+    assert _q_inf(OffspringLaw.from_pmf({0: 0.1, 2: 0.9})) == pytest.approx(1.0 / 9.0, rel=1e-14)
+    q_inf = _q_inf(PMF_P0)
+    f = np.polynomial.Polynomial(_dense(PMF_P0))
+    assert 0.0 < q_inf < 1.0 and f(q_inf) == pytest.approx(q_inf, abs=1e-15)
+    below = np.linspace(0.0, q_inf * (1.0 - 1e-9), 1001)
+    assert np.all(f(below) > below)  # no smaller fixed point
+    p = params(r=1.5, offspring=PMF_P0)
+    assert extinction_probability(60.0, p) == pytest.approx(q_inf, rel=1e-12)
+    assert extinction_probability(1.0, p) > q_inf
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.4999])
+def test_extinction_probability_is_one_when_not_supercritical(r):
+    xs = np.array([0.0, 0.5, 5.0, 50.0])
+    np.testing.assert_array_equal(extinction_probability(xs, params(r=r)), 1.0)
+
+
+def test_extinction_probability_tends_to_one_at_criticality():
+    # r (mu1 - 1) decreasing to c^2 / 2 = 0.5; the last three cross q = 1
+    # on the linearized tail
+    rates = [1.5, 0.6, 0.52, 0.502, 0.5002, 0.50002]
+    q1 = [extinction_probability(1.0, params(r=r)) for r in rates]
+    q3 = [extinction_probability(3.0, params(r=r)) for r in rates]
+    assert np.all(np.diff(q1) >= 0) and np.all(np.diff(q3) >= 0)
+    assert q1[0] < 0.8 and 1.0 - q1[-1] < 1e-15 and 1.0 - q3[-1] < 1e-15
+    assert math.isinf(oracles._kesten_wave(params(r=0.502)).x_err)  # no bound there
+
+
+def test_extinction_probability_validates_x():
+    with pytest.raises(ValueError):
+        extinction_probability(-0.1, params(r=1.5))
+    with pytest.raises(ValueError):
+        extinction_probability([1.0, math.nan], params(r=1.5))
+
+
+@pytest.mark.parametrize("c, r, law, xs", [
+    (1.0, 1.5, DYADIC, (0.05, 0.3, 1.0, 2.0, 5.0)),
+    (1.0, 0.6, DYADIC, (0.5, 2.0)),
+    (1.0, 1.5, P1_LAW, (0.3, 1.0, 3.0)),
+    (2.0, 5.0, OffspringLaw.from_pmf({1: 0.2, 2: 0.3, 3: 0.5}), (0.2, 1.0)),
+    (3.0, 6.0, DYADIC, (0.5, 2.0)),
+])
+def test_extinction_probability_matches_bvp_reference(bvp_reference, c, r, law, xs):
+    p = params(c=c, r=r, offspring=law)
+    for x in xs:
+        want = bvp_reference.extinction_probability(x, c, r, _dense(law))
+        assert extinction_probability(x, p) == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("law", [DYADIC, P1_LAW])
+def test_extinction_upper_table_dominates_bvp_reference(bvp_reference, monkeypatch, law):
+    # The reference solves one BVP per call; keep its solution and evaluate
+    # it at 10^4 random positions.
+    solutions = []
+    solve = bvp_reference.solve_bvp
+
+    def keep(*args, **kwargs):
+        solutions.append(solve(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(bvp_reference, "solve_bvp", keep)
+    bvp_reference.extinction_probability(1.0, 1.0, 1.5, _dense(law))
+    xs = np.random.default_rng(7).uniform(0.0, 40.0, 10_000)
+    want = solutions[0].sol(xs)[0]
+    wave = oracles._kesten_wave(params(r=1.5, offspring=law))
+    upper = np.exp(wave.upper_log_q[np.searchsorted(wave.upper_x, xs, side="right") - 1])
+    assert np.all(upper >= want)
+    # tight to about one node spacing
+    assert np.all(upper[xs > 0.1] < 1.0) and np.median(upper / want) < 1.01
