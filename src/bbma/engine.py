@@ -461,7 +461,8 @@ class _Run:
             "absorbed": self.absorbed,
             "died_childless": self.died_childless,
             "branched": self.branched,
-            "alive_final": int(self.censuses[-1].alive_positions.size) if self.censuses else int(self.co.size),
+            "alive_final": (int(self.censuses[-1].alive_positions.size)
+                            if self.censuses and self.status != "certified_survival" else int(self.co.size)),
         }
         return ReplicateResult(
             censuses=self.censuses,

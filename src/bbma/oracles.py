@@ -375,15 +375,14 @@ def truncated_second_moment_bound(
 class _KestenWave(NamedTuple):
     """The q ODE solved on nodes spaced h apart in x, ascending; node 0 is the
     last one at or below x = 0 (q >= 1).  s = log(q - q_inf) and w = ds/dx at
-    each node.  x_err and s_err bound, by step doubling, the error of the node
-    positions and of s.
+    each node.
 
     upper_x and upper_log_q bound q from above: q(x) <= exp(upper_log_q[k])
     for the last k with upper_x[k] <= x, searchsorted(upper_x, x, "right") -
-    1.  Each node is moved up by x_err and its s by s_err, so the value holds
-    at the true node, which lies at or below x, and q decreases in x.  Past
-    the last node the last value holds; upper_x[0] = -inf stands for every x
-    (log q <= 0).
+    1.  Each node is moved up by the bound on its position error, and its s
+    by the bound on the error of s, so the value holds at the true node,
+    which lies at or below x, and q decreases in x.  Past the last node the
+    last value holds; upper_x[0] = -inf stands for every x (log q <= 0).
     """
 
     q_inf: float
@@ -392,8 +391,6 @@ class _KestenWave(NamedTuple):
     x: np.ndarray
     s: np.ndarray
     w: np.ndarray
-    x_err: float
-    s_err: float
     upper_x: np.ndarray
     upper_log_q: np.ndarray
 
@@ -491,7 +488,7 @@ def _kesten_wave(params: ModelParams) -> _KestenWave | None:
     the error (about 15 times the error of the finer run, for RK4); the
     bounds add the rounding of the running sum s, one unit in the last place
     per step.  A path that ends on the linearized tail (see _wave_rk4) has
-    no bound on its node positions: x_err is inf.
+    no bound on its node positions, so its upper bound is q <= 1.
     """
     if classify_regime(params) in (Regime.SUBCRITICAL, Regime.CRITICAL):
         return None
@@ -527,7 +524,7 @@ def _kesten_wave(params: ModelParams) -> _KestenWave | None:
     s, w = s[::-1], w[::-1]
     upper_x, upper_log_q = x + x_err, np.minimum(np.log(q_inf + np.exp(s + s_err)), 0.0)
     upper_x[0], upper_log_q[0] = -np.inf, 0.0
-    return _KestenWave(q_inf, kappa, h, x, s, w, x_err, s_err, upper_x, upper_log_q)
+    return _KestenWave(q_inf, kappa, h, x, s, w, upper_x, upper_log_q)
 
 
 def extinction_probability(x, params: ModelParams):

@@ -230,7 +230,7 @@ def test_certified_replicates_survive_the_horizon(law, x0, horizon):
     p = params(r=1.5, offspring=law)
     certified = 0
     for i in range(200):
-        res = run_replicate(p, x0, horizon, [horizon], None, spawn_rng_stream(67, i),
+        res = run_replicate(p, x0, horizon, [horizon / 2, horizon], None, spawn_rng_stream(67, i),
                             checkpoint_chains=False, certify_survival=True)
         k = res.counters
         assert k["created"] == k["alive_final"] + k["absorbed"] + k["died_childless"] + k["branched"]
@@ -239,7 +239,7 @@ def test_certified_replicates_survive_the_horizon(law, x0, horizon):
             continue
         certified += 1
         assert 0.0 <= res.extinction_bound < CERTIFY_EPS
-        full = run_replicate(p, x0, horizon, [horizon], None, spawn_rng_stream(67, i),
+        full = run_replicate(p, x0, horizon, [horizon / 2, horizon], None, spawn_rng_stream(67, i),
                              checkpoint_chains=False)
         assert full.status == "ok" and full.trace.n_alive[-1] > 0, i
     assert certified >= 30

@@ -422,7 +422,8 @@ def test_extinction_probability_tends_to_one_at_criticality():
     q3 = [extinction_probability(3.0, params(r=r)) for r in rates]
     assert np.all(np.diff(q1) >= 0) and np.all(np.diff(q3) >= 0)
     assert q1[0] < 0.8 and 1.0 - q1[-1] < 1e-15 and 1.0 - q3[-1] < 1e-15
-    assert math.isinf(oracles._kesten_wave(params(r=0.502)).x_err)  # no bound there
+    tail = oracles._kesten_wave(params(r=0.502))  # no bound there: q <= 1 for every x
+    assert np.all(np.isinf(tail.upper_x[1:])) and tail.upper_log_q[0] == 0.0
 
 
 def test_extinction_probability_validates_x():
