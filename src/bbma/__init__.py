@@ -47,7 +47,6 @@ from .oracles import (
     sample_spine_pair,
     second_moment_exact,
     spine_second_moment_mc,
-    truncated_second_moment_bound,
 )
 from .experiments import (
     ExperimentReport,
@@ -78,7 +77,7 @@ __all__ = [
     "truncation_flags_for",
     "SpinePair", "expected_count", "expected_count_asymptotic", "extinction_probability",
     "mean_one_check", "sample_spine_pair", "second_moment_exact",
-    "spine_second_moment_mc", "truncated_second_moment_bound",
+    "spine_second_moment_mc",
     "ExperimentReport", "experiment_empirical_qsd", "experiment_kesten",
     "experiment_martingale", "experiment_phase_diagram",
     "experiment_truncation", "load_thresholds", "tk_schedule",

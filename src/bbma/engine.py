@@ -279,8 +279,8 @@ class _Run:
 
         Returns the particles alive at t_end and the interval's checkpoint
         table (see _open_table), into which their chains point.  Returns None
-        on cap abort, with the cohort left as it was at the aborted phase, and
-        on certified survival, with the cohort set to the frontier.
+        on cap abort and on certified survival, with the cohort set to the
+        frontier: the active particles and those parked at t_end.
         """
         p = self.params
         rng = self.rng
@@ -310,11 +310,10 @@ class _Run:
                 if log_q < _LOG_CERTIFY_EPS:
                     self.status = "certified_survival"
                     self.extinction_bound = math.exp(log_q)
-                    self.co = _Cohort.concat([*parked, co])
-                    return None
-            if self.n_events + n > self.cap:
+            if self.status == "ok" and self.n_events + n > self.cap:
                 self.status = "population_cap_exceeded"
-                self.co = co
+            if self.status != "ok":
+                self.co = _Cohort.concat([*parked, co])
                 return None
             self.n_events += n
 
@@ -461,8 +460,7 @@ class _Run:
             "absorbed": self.absorbed,
             "died_childless": self.died_childless,
             "branched": self.branched,
-            "alive_final": (int(self.censuses[-1].alive_positions.size)
-                            if self.censuses and self.status != "certified_survival" else int(self.co.size)),
+            "alive_final": int(self.co.size),
         }
         return ReplicateResult(
             censuses=self.censuses,
@@ -501,7 +499,10 @@ def run_replicate(
     true.
     A replicate that reaches the horizon has status "ok".  Exceeding
     population_cap cumulative particle-events aborts it with status
-    "population_cap_exceeded" and partial censuses.
+    "population_cap_exceeded" and partial censuses.  Whatever the status,
+    counters["alive_final"] counts the particles alive when the run stops
+    (after an early stop, the frontier at mixed times), so created =
+    alive_final + absorbed + died_childless + branched.
 
     certify_survival=True stops a replicate once survival is certain up to
     CERTIFY_EPS: before each cohort phase it sums log q_upper(x) over the
@@ -509,8 +510,7 @@ def run_replicate(
     where q_upper bounds Kesten's extinction probability from above
     (oracles.extinction_probability, tabulated once per model).  Below
     log CERTIFY_EPS the replicate ends with status "certified_survival",
-    partial censuses and the bound in extinction_bound; its last particles
-    (the frontier, at mixed times) count as alive_final.  This check runs
+    partial censuses and the bound in extinction_bound.  This check runs
     before the cap check and draws nothing, so a stopped replicate's stream
     is a prefix of the unstopped one.  Sub/critical models never stop (q = 1).
 

@@ -38,17 +38,7 @@ __all__ = [
     "sample_spine_pair",
     "spine_second_moment_mc",
     "mean_one_check",
-    "truncated_second_moment_bound",
-    "TRUNC_BOUND_C",
-    "TRUNC_BOUND_DELTA",
 ]
-
-# Configuration constants for the truncated-second-moment envelope.
-# C is calibrated once against engine brute force (see the regression data
-# shipped with the experiments module); delta fixes the admissible window
-# growth M <= delta * s^{1/4}.
-TRUNC_BOUND_C = 16.0
-TRUNC_BOUND_DELTA = 1.0
 
 # Integration tail: in u, y = (x - c t) + sqrt(t) u, the killed density at
 # duration t is a unit-width Gaussian bump, so _TAIL_SIGMAS units on either
@@ -170,8 +160,12 @@ def expected_count_asymptotic(x: float, t: float, B: IntervalSet, params: ModelP
 def second_moment_exact(x: float, t: float, params: ModelParams) -> float:
     """E|N_t|^2 by the exact two-term decomposition.
 
-    The outer z integral is quad at relative tolerance 1e-10, and each of
-    its levels evaluates the inner integral at all of its nodes at once.
+    The outer z integral is quad at relative tolerance 1e-10 over s in
+    [0, 1], z = t (3 s^2 - 2 s^3), dz = 6 t s (1 - s) ds: sqrt(z) = s sqrt(t
+    (3 - 2s)) and sqrt(t - z) = (1 - s) sqrt(t (1 + 2s)) are analytic in s,
+    where in z they are not at either end, so the bisection closes in a few
+    levels.  Each level evaluates the inner integral at all of its nodes at
+    once.
     The inner y integral is taken in u, y = (x - c z) + sqrt(z) u, where the
     killed density is a unit-width bulk at every z, by composite
     Gauss-Legendre split where S(y, t-z)^2 rises (y = k sqrt(t-z), k = 1, 4,
@@ -187,18 +181,21 @@ def second_moment_exact(x: float, t: float, params: ModelParams) -> float:
     if mu2 == mu1:  # offspring count a.s. <= 1: no pairs ever coexist
         return term1
 
-    def inner(z: np.ndarray) -> np.ndarray:
+    def inner(s: np.ndarray) -> np.ndarray:
+        # z = t s^2 (3 - 2s), so sqrt(z) and sqrt(t - z) are analytic in s.
         # y = (x - c z) + sqrt(z) u turns p_z(x,y) dy into phi(u) (1 - e^{-2xy/z}) du.
-        tail, rz, m = np.maximum(t - z, 0.0), np.sqrt(z), x - params.c * z
+        z, rz = t * s * s * (3.0 - 2.0 * s), s * np.sqrt(t * (3.0 - 2.0 * s))
+        rtail = (1.0 - s) * np.sqrt(t * (1.0 + 2.0 * s))
+        tail, m = rtail * rtail, x - params.c * z
         lo = np.clip(-m / rz, -_TAIL_SIGMAS, _TAIL_SIGMAS)
-        rises = np.clip((np.sqrt(tail)[:, None] * [1.0, 4.0, 16.0] - m[:, None]) / rz[:, None],
+        rises = np.clip((rtail[:, None] * [1.0, 4.0, 16.0] - m[:, None]) / rz[:, None],
                         lo[:, None], _TAIL_SIGMAS)
         zc, tc, mc, rc = (v[:, None, None] for v in (z, tail, m, rz))
 
         def f(u: np.ndarray) -> np.ndarray:
             y = np.maximum(mc + rc * u, 0.0)
-            s = survival_probability(y, tc, params)
-            return np.exp(-0.5 * u * u) * -np.expm1(-2.0 * x * y / zc) * s * s / math.sqrt(2.0 * math.pi)
+            sq = survival_probability(y, tc, params) ** 2
+            return np.exp(-0.5 * u * u) * -np.expm1(-2.0 * x * y / zc) * sq / math.sqrt(2.0 * math.pi)
 
         def rule(panels: int) -> np.ndarray:
             # Equal panels on [lo, _TAIL_SIGMAS] split at the rises; a rise
@@ -212,10 +209,11 @@ def second_moment_exact(x: float, t: float, params: ModelParams) -> float:
         _check_error(fine[worst], err[worst], lo[worst], _TAIL_SIGMAS, 1e-8)
         return fine
 
-    def integrand(z: np.ndarray) -> np.ndarray:
-        return np.exp(-growth * z) * inner(z.ravel()).reshape(z.shape)
+    def integrand(s: np.ndarray) -> np.ndarray:
+        z = t * s * s * (3.0 - 2.0 * s)
+        return 6.0 * t * s * (1.0 - s) * np.exp(-growth * z) * inner(s.ravel()).reshape(s.shape)
 
-    outer = quad(integrand, 0.0, t)
+    outer = quad(integrand, 0.0, 1.0)
     term2 = (mu2 - mu1) * r * math.exp(2.0 * growth * t) * outer
     return term1 + term2
 
@@ -338,35 +336,6 @@ def mean_one_check(x: float, t: float, params: ModelParams) -> float:
 
     val = quad(f, max(-m / rt, peak - _TAIL_SIGMAS), peak + _TAIL_SIGMAS, breaks=(peak,))
     return math.exp(params.lambda_ * t) * val / float(ground_state_h(x, params))
-
-
-def truncated_second_moment_bound(
-    x: float,
-    t: float,
-    s: float,
-    M: float,
-    params: ModelParams,
-    C: float | None = None,
-    delta: float | None = None,
-) -> float:
-    """Envelope C h(x) e^{g s/2} (t^{-3/2} e^{g t})^2 for the second moment
-    of the (M, s)-window-truncated count.
-
-    Admissible inputs: M >= 1 and M <= delta * s^{1/4}.  s = 0 is accepted
-    as a special case (the window is then checked from its tightest start);
-    for s > 0 the constraint couples window size to shift as in the
-    envelope's derivation.
-    """
-    C = TRUNC_BOUND_C if C is None else float(C)
-    delta = TRUNC_BOUND_DELTA if delta is None else float(delta)
-    if not (x > 0 and t > 0 and s >= 0):
-        raise ValueError("truncated_second_moment_bound requires x>0, t>0, s>=0")
-    if M < 1.0:
-        raise ValueError("window size M must be >= 1")
-    if s > 0 and M > delta * s**0.25 * (1.0 + 1e-12):
-        raise ValueError(f"M={M:g} exceeds delta*s^(1/4)={delta * s**0.25:g}")
-    g = params.growth_exponent
-    return C * float(ground_state_h(x, params)) * math.exp(g * s / 2.0) * (t**-1.5 * math.exp(g * t)) ** 2
 
 
 # -- Kesten's extinction probability -----------------------------------------

@@ -187,6 +187,39 @@ def test_population_cap_aborts_with_status():
                             + k["died_childless"] + k["branched"])
 
 
+# Census grids on [0, 4]: none, ending at the horizon, and a horizon tail
+# beyond the last census.
+IDENTITY_GRIDS = {"no_census": [], "to_horizon": [1.0, 2.0, 4.0], "tail": [1.0, 2.0]}
+# (model, x0, options) per status; each reaches its status within 40 streams.
+IDENTITY_RUNS = {
+    "ok": (params(r=1.5), 1.0, {}),
+    "population_cap_exceeded": (params(r=3.0), 1.0, {"population_cap": 2000}),
+    "certified_survival": (params(r=2.0), 0.5, {"certify_survival": True}),
+}
+
+
+@pytest.mark.parametrize("grid", IDENTITY_GRIDS.values(), ids=IDENTITY_GRIDS)
+@pytest.mark.parametrize("status", IDENTITY_RUNS)
+def test_accounting_identity_every_status(status, grid):
+    p, x0, kw = IDENTITY_RUNS[status]
+    seen = 0
+    for i in range(40):
+        res = run_replicate(p, x0, 4.0, grid, None, spawn_rng_stream(113, i),
+                            checkpoint_chains=False, **kw)
+        k = res.counters
+        assert k["created"] == (k["alive_final"] + k["absorbed"]
+                                + k["died_childless"] + k["branched"]), (i, res.status, k)
+        seen += res.status == status
+        if res.status == "ok":
+            # The same draws with a census at the horizon count the same particles.
+            full = run_replicate(p, x0, 4.0, sorted({*grid, 4.0}), None, spawn_rng_stream(113, i),
+                                 checkpoint_chains=False, **kw)
+            assert k["alive_final"] == full.trace.n_alive[-1], i
+        elif res.status == "population_cap_exceeded":
+            assert k["alive_final"] > 0
+    assert seen > 0
+
+
 # -- certified survival ------------------------------------------------------
 
 # p0 > 0, so q(inf) > 0: r (mu1 - 1) = 1.05 > c^2 / 2

@@ -19,7 +19,6 @@ from bbma.oracles import (
     sample_spine_pair,
     second_moment_exact,
     spine_second_moment_mc,
-    truncated_second_moment_bound,
 )
 
 DYADIC = OffspringLaw.dyadic()
@@ -169,17 +168,21 @@ def test_second_moment_short_horizon_is_pure_branching(x, t):
 
 
 # Pinned values at extreme inputs: tiny x, long horizon, large c and r,
-# small r, and a pmf with p0 > 0.  The first three come from nested scipy
-# quad at relative tolerance 1e-13, with the outer z integral split at points
-# graded geometrically toward z = 0 and z = t; the last two are values of the
-# nested-quadrature implementation that preceded the vectorized inner rule.
+# small r, a pmf with p0 > 0 and one with p1 > 0.  All come from nested scipy
+# quad at relative tolerance 1e-13 (epsabs 0), independent of this module:
+# the outer z integral split at z = t 2^-j (j = 1..59) and z = t (1 - 2^-j)
+# (j = 2..49), the inner one taken in u, y = (x - c z) + sqrt(z) u, over
+# [max(-(x - c z)/sqrt(z), -15), 15] with break points at u = 0, +-3 and the
+# rises y = k sqrt(t - z), k = 1/2, 1, 2, 4, 8, 16.
 EXTREME_SECOND_MOMENTS = [
     (0.01, 3.0, dict(), 0.004535789341006695),
     (3.0, 20.0, dict(), 609.485402606258),
     (1.0, 2.0, dict(c=3.0, r=6.0), 3092.6974968308173),
-    (1.0, 5.0, dict(r=0.05), 0.015121806081918066),
+    (1.0, 5.0, dict(r=0.05), 0.015121806083082265),
     (0.5, 4.0, dict(r=1.5, offspring=OffspringLaw.from_pmf({0: 0.2, 2: 0.5, 3: 0.3})),
-     103.03979317785361),
+     103.03979317813953),
+    (0.5, 4.0, dict(r=1.5, offspring=OffspringLaw.from_pmf({0: 0.1, 1: 0.3, 2: 0.4, 3: 0.2})),
+     11.57250312146685),
 ]
 
 
@@ -188,6 +191,22 @@ def test_second_moment_extreme_inputs_pinned(x, t, kw, ref):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert second_moment_exact(x, t, params(**kw)) == pytest.approx(ref, rel=1e-10)
+
+
+def test_second_moment_outer_rule_node_count(monkeypatch):
+    # In s, z = t (3 s^2 - 2 s^3), the outer integrand is analytic at both
+    # ends, so the bisection closes early: 88 outer nodes at (1, 1).
+    nodes = []
+    panel_sums = oracles._panel_sums
+
+    def count(f, a, b, n):
+        if n == oracles._QUAD_NODES:
+            nodes.append(a.size * n)
+        return panel_sums(f, a, b, n)
+
+    monkeypatch.setattr(oracles, "_panel_sums", count)
+    second_moment_exact(1.0, 1.0, params())
+    assert 0 < sum(nodes) <= 128
 
 
 def test_second_moment_reports_missed_inner_tolerance(monkeypatch):
@@ -314,44 +333,6 @@ def test_mean_one_check(x, c, t):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert abs(mean_one_check(x, t, params(c=c)) - 1.0) < MEAN_ONE_TOL
-
-
-# -- truncated second-moment envelope ----------------------------------------
-
-
-def test_truncation_bound_shape():
-    p = params(r=1.5)
-    # Grows in s at fixed t (admissible: M=1 needs s >= 1 when delta=1).
-    assert truncated_second_moment_bound(1.0, 6.0, 16.0, 1.0, p) > \
-        truncated_second_moment_bound(1.0, 6.0, 1.0, 1.0, p)
-    # Linear in h(x).
-    vals = [truncated_second_moment_bound(x, 6.0, 0.0, 3.0, p) / ground_state_h(x, p)
-            for x in (0.5, 1.0, 2.0)]
-    assert max(vals) - min(vals) < 1e-12 * max(vals)
-
-
-def test_truncation_bound_preconditions():
-    p = params(r=1.5)
-    with pytest.raises(ValueError):
-        truncated_second_moment_bound(1.0, 6.0, 0.0, 0.5, p)     # M < 1
-    with pytest.raises(ValueError):
-        truncated_second_moment_bound(1.0, 6.0, 1.0, 2.0, p)     # M > delta s^{1/4}
-    with pytest.raises(ValueError):
-        truncated_second_moment_bound(-1.0, 6.0, 0.0, 2.0, p)
-
-
-def test_truncation_bound_dominates_engine_estimate():
-    # E|N~_t^M|^2 from the engine stays below the envelope at the reference
-    # configuration (the bound is ~1e8 here, so this is a sanity margin, not
-    # a tight comparison).
-    p = params(r=1.5)
-    n = 2000
-    sq = np.empty(n)
-    for i in range(n):
-        res = run_replicate(p, 1.0, 6.0, [6.0], 3.0, spawn_rng_stream(109, i))
-        sq[i] = float(res.censuses[-1].truncated_flags.sum()) ** 2
-    bound = truncated_second_moment_bound(1.0, 6.0, 0.0, 3.0, p)
-    assert sq.mean() < bound
 
 
 # -- Kesten's extinction probability ------------------------------------------
