@@ -39,12 +39,10 @@ from .engine import (
     truncation_flags_for,
 )
 from .oracles import (
-    SpinePair,
     expected_count,
     expected_count_asymptotic,
     extinction_probability,
     mean_one_check,
-    sample_spine_pair,
     second_moment_exact,
     spine_second_moment_mc,
 )
@@ -75,9 +73,8 @@ __all__ = [
     "Census", "EventRecorder", "MartingaleTrace",
     "ReplicateResult", "run_replicate", "spawn_rng_stream",
     "truncation_flags_for",
-    "SpinePair", "expected_count", "expected_count_asymptotic", "extinction_probability",
-    "mean_one_check", "sample_spine_pair", "second_moment_exact",
-    "spine_second_moment_mc",
+    "expected_count", "expected_count_asymptotic", "extinction_probability",
+    "mean_one_check", "second_moment_exact", "spine_second_moment_mc",
     "ExperimentReport", "experiment_empirical_qsd", "experiment_kesten",
     "experiment_martingale", "experiment_phase_diagram",
     "experiment_truncation", "load_thresholds", "tk_schedule",

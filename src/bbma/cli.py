@@ -165,7 +165,7 @@ def _parse_value(key: str, raw: str):
     return raw
 
 
-def parse_config(text: str, base: dict | None = None) -> dict:
+def parse_config(text: str) -> dict:
     """Parse flat key=value config text into a dict of RunConfig fields.
 
     '#' starts a comment.  Later lines override earlier ones except 'set',
@@ -174,8 +174,8 @@ def parse_config(text: str, base: dict | None = None) -> dict:
     prefixed 'config line N: '.  Range rules wait for the whole run (_check).
     """
     known = {f.name for f in fields(RunConfig)} | {"set"}
-    out: dict = dict(base or {})
-    set_list = list(out.get("sets", ()))
+    out: dict = {}
+    set_list = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:

@@ -147,6 +147,25 @@ def _effective_horizon(params: ModelParams, x0: float, horizon: float) -> float:
     return lo
 
 
+def _require_supercritical(params: ModelParams, what: str) -> None:
+    if classify_regime(params) not in (Regime.SUPERCRITICAL, Regime.L2_SUPERCRITICAL):
+        raise ValueError(f"{what} requires a supercritical configuration")
+
+
+def _replicates(params: ModelParams, x0: float, horizon: float, grid, n: int, seed: int,
+                first: int = 0, **kw):
+    """Yield run_replicate for replicates first .. first + n - 1, in order.
+
+    Replicate i draws spawn_rng_stream(seed, i), so an experiment's replicate
+    j uses stream j, and phase cell k passes first = k n to use streams
+    k n + j.  (verify_samplers keys its kernel suites to streams 0-2 of seed
+    and its engine suite to seed + 3.)  run_replicate is looked up as this
+    module's global at every call, so rebinding that name reaches the engine.
+    """
+    for i in range(first, first + n):
+        yield run_replicate(params, x0, horizon, grid, None, spawn_rng_stream(seed, i), **kw)
+
+
 # ---------------------------------------------------------------------------
 # Kesten-type convergence: |N_t(B)| / (e^{gt} t^{-3/2} h(x0)) vs nu(B) D_t
 # ---------------------------------------------------------------------------
@@ -167,9 +186,7 @@ def experiment_kesten(
     contract (judged on the first B) is that the L1 gap shrinks from mid to
     final horizon and the final median is below the frozen pilot value.
     """
-    regime = classify_regime(params)
-    if regime not in (Regime.SUPERCRITICAL, Regime.L2_SUPERCRITICAL):
-        raise ValueError("Kesten experiment requires a supercritical configuration")
+    _require_supercritical(params, "Kesten experiment")
     B_list = [B if isinstance(B, IntervalSet) else IntervalSet.parse(B) for B in B_list]
     grid = [horizon * k / 4.0 for k in (1, 2, 3, 4)]
     feasible = expected_count_asymptotic(x0, horizon, IntervalSet.positive_axis(), params) <= DESK_POP_CAP
@@ -189,19 +206,14 @@ def experiment_kesten(
     ])
     nuB = np.array([nu_measure(B, params) for B in B_list])
 
-    def job(i: int):
-        rng = spawn_rng_stream(seed, i)
-        return run_replicate(params, x0, horizon, grid, None, rng, interval_sets=tuple(B_list),
-                             checkpoint_chains=False)
-
-    results = [job(i) for i in range(n_replicates)]
-    n_events = sum(res.n_events for res in results)
-
+    n_events = 0
     records = []
     R = np.empty((n_replicates, len(grid), len(B_list)))
     D = np.empty((n_replicates, len(grid)))
     alive = np.empty((n_replicates, len(grid)), dtype=np.int64)
-    for i, res in enumerate(results):
+    for i, res in enumerate(_replicates(params, x0, horizon, grid, n_replicates, seed,
+                                        interval_sets=tuple(B_list), checkpoint_chains=False)):
+        n_events += res.n_events
         R[i] = res.trace.set_counts / denom[:, None]
         D[i] = res.trace.d
         alive[i] = res.trace.n_alive
@@ -273,33 +285,24 @@ def experiment_empirical_qsd(
 ) -> ExperimentReport:
     """KS distance between alive-position empirical CDFs and
     F(a) = 1 - (1+ca) e^{-ca}, tracked across census times on survivors."""
-    regime = classify_regime(params)
-    if regime not in (Regime.SUPERCRITICAL, Regime.L2_SUPERCRITICAL):
-        raise ValueError("empirical-distribution experiment requires a supercritical configuration")
+    _require_supercritical(params, "empirical-distribution experiment")
     grid = [0.0] + [horizon * k / 4.0 for k in (1, 2, 3, 4)]
     thresholds = {
         "median_ks_final_max": load_thresholds()["qsd"]["median_ks_final"],
     }
 
-    def job(i: int):
-        rng = spawn_rng_stream(seed, i)
-        res = run_replicate(params, x0, horizon, grid, None, rng, checkpoint_chains=False)
-        return (
-            res.n_events,
-            res.status,
-            res.trace.n_alive.copy(),
-            [(_ks_distance(c.alive_positions, params) if c.alive_positions.size else math.nan)
-             for c in res.censuses],
-        )
-
-    results = [job(i) for i in range(n_replicates)]
-    n_events = sum(row[0] for row in results)
-    records = [
-        {"replicate": i, "status": row[1], "alive": row[2].tolist(), "ks": row[3]}
-        for i, row in enumerate(results)
-    ]
-    ks = np.array([row[3] for row in results])          # (n, len(grid)), NaN if extinct
-    alive = np.array([row[2] for row in results])
+    n_events = 0
+    records = []
+    for i, res in enumerate(_replicates(params, x0, horizon, grid, n_replicates, seed,
+                                        checkpoint_chains=False)):
+        n_events += res.n_events
+        records.append({
+            "replicate": i, "status": res.status, "alive": res.trace.n_alive.tolist(),
+            "ks": [(_ks_distance(c.alive_positions, params) if c.alive_positions.size else math.nan)
+                   for c in res.censuses],
+        })
+    ks = np.array([rec["ks"] for rec in records])          # (n, len(grid)), NaN if extinct
+    alive = np.array([rec["alive"] for rec in records])
 
     per_census = []
     for j, t in enumerate(grid):
@@ -348,8 +351,7 @@ def experiment_martingale(
     """Mean-one check of D_t at each horizon, uniform-integrability probe
     E[D 1{D>K}] in K at the last horizon, and the survivor frequency of
     near-zero D at the last horizon against a frozen pilot value."""
-    if classify_regime(params) not in (Regime.SUPERCRITICAL, Regime.L2_SUPERCRITICAL):
-        raise ValueError("martingale experiment requires a supercritical configuration")
+    _require_supercritical(params, "martingale experiment")
     grid = sorted(float(t) for t in horizons)
     K_list = sorted(float(k) for k in K_list)
     thresholds = {
@@ -358,19 +360,15 @@ def experiment_martingale(
         "mean_one_sigmas": 3.0,
     }
 
-    def job(i: int):
-        rng = spawn_rng_stream(seed, i)
-        res = run_replicate(params, x0, grid[-1], grid, None, rng, checkpoint_chains=False)
-        return res.n_events, res.status, res.trace.d.copy(), res.trace.n_alive.copy()
-
-    results = [job(i) for i in range(n)]
-    n_events = sum(row[0] for row in results)
-    D = np.array([row[2] for row in results])
-    alive = np.array([row[3] for row in results])
-    records = [
-        {"replicate": i, "status": row[1], "D": row[2].tolist(), "alive": row[3].tolist()}
-        for i, row in enumerate(results)
-    ]
+    n_events = 0
+    records = []
+    for i, res in enumerate(_replicates(params, x0, grid[-1], grid, n, seed,
+                                        checkpoint_chains=False)):
+        n_events += res.n_events
+        records.append({"replicate": i, "status": res.status, "D": res.trace.d.tolist(),
+                        "alive": res.trace.n_alive.tolist()})
+    D = np.array([rec["D"] for rec in records])
+    alive = np.array([rec["alive"] for rec in records])
 
     mean_d = {f"{t:g}": _mean_se(D[:, j]) for j, t in enumerate(grid)}
     zsc = {t: abs(v["value"] - 1.0) / v["stderr"] for t, v in mean_d.items()}
@@ -455,29 +453,27 @@ def experiment_truncation(
     ec = expected_count(x0, horizon, B, params)
     scale = math.exp(-params.growth_exponent * horizon) / ground_state_h(x0, params)
 
-    def job(i: int):
-        rng = spawn_rng_stream(seed, i)
-        res = run_replicate(params, x0, horizon, [horizon], None, rng)
+    n_events = 0
+    status, alive = [], []
+    gaps = np.empty((n, 4, len(M_list)))  # rows: D lower, D upper, N lower, N upper
+    for i, res in enumerate(_replicates(params, x0, horizon, [horizon], n, seed)):
+        n_events += res.n_events
+        status.append(res.status)
         final = res.censuses[-1]
+        alive.append(int(final.alive_positions.size))
         hvals = ground_state_h(final.alive_positions, params)
-        gaps = np.empty((4, len(M_list)))  # rows: D lower, D upper, N lower, N upper
         for j, M in enumerate(M_list):
             lo, hi = window_escape_bounds(res.censuses, M)[-1]
-            gaps[:, j] = (np.dot(hvals, lo) * scale, np.dot(hvals, hi) * scale,
-                          lo.sum() / ec, hi.sum() / ec)
-        return res.n_events, res.status, gaps, int(final.alive_positions.size)
-
-    results = [job(i) for i in range(n)]
-    n_events = sum(row[0] for row in results)
-    gaps = np.array([row[2] for row in results])  # (n, 4, len(M_list))
+            gaps[i, :, j] = (np.dot(hvals, lo) * scale, np.dot(hvals, hi) * scale,
+                             lo.sum() / ec, hi.sum() / ec)
     mid = {"D": 0.5 * (gaps[:, 0] + gaps[:, 1]), "N": 0.5 * (gaps[:, 2] + gaps[:, 3])}
     records = [
-        {"replicate": i, "status": row[1],
+        {"replicate": i, "status": status[i],
          "gap_D": mid["D"][i].tolist(), "gap_N": mid["N"][i].tolist(),
-         "gap_D_lower": row[2][0].tolist(), "gap_D_upper": row[2][1].tolist(),
-         "gap_N_lower": row[2][2].tolist(), "gap_N_upper": row[2][3].tolist(),
-         "alive": row[3]}
-        for i, row in enumerate(results)
+         "gap_D_lower": gaps[i, 0].tolist(), "gap_D_upper": gaps[i, 1].tolist(),
+         "gap_N_lower": gaps[i, 2].tolist(), "gap_N_upper": gaps[i, 3].tolist(),
+         "alive": alive[i]}
+        for i in range(n)
     ]
 
     monotone = bool(np.all(np.diff(gaps, axis=2) <= 1e-12))
@@ -560,7 +556,6 @@ def experiment_phase_diagram(
     if not len(c_grid) or not len(r_grid):
         raise ValueError("phase diagram requires a non-empty c_grid and r_grid")
     cells = []
-    records = []
     n_events = 0
     all_ok = True
     thresholds = {
@@ -576,21 +571,14 @@ def experiment_phase_diagram(
             super_cell = regime in (Regime.SUPERCRITICAL, Regime.L2_SUPERCRITICAL)
             h_eff = _effective_horizon(params, x0, horizon) if super_cell else float(horizon)
             cell_index = ci * len(r_grid) + ri
-
-            def job(j: int, params=params, h_eff=h_eff, base=cell_index * n):
-                rng = spawn_rng_stream(seed, base + j)
-                res = run_replicate(params, x0, h_eff, [h_eff], None, rng,
-                                    checkpoint_chains=False, certify_survival=super_cell)
-                if res.status == "ok":
-                    return res.n_events, "survived" if res.trace.n_alive[-1] > 0 else "extinct"
-                return res.n_events, res.status
-
-            out = [job(i) for i in range(n)]
-            n_events += sum(o[0] for o in out)
-            outcomes = [o[1] for o in out]
-            certified = outcomes.count("certified_survival")
-            undecided = outcomes.count("population_cap_exceeded")
-            survived = outcomes.count("survived") + certified
+            alive = certified = undecided = 0
+            for res in _replicates(params, x0, h_eff, [h_eff], n, seed, cell_index * n,
+                                   checkpoint_chains=False, certify_survival=super_cell):
+                n_events += res.n_events
+                alive += bool(res.status == "ok" and res.trace.n_alive[-1] > 0)
+                certified += res.status == "certified_survival"
+                undecided += res.status == "population_cap_exceeded"
+            survived = alive + certified
             freq = survived / n
             cell = {
                 "c": float(c), "r": float(r), "regime": regime.value,
@@ -615,8 +603,6 @@ def experiment_phase_diagram(
                 cell["message"] = f"{cell['message']}; {note}" if "message" in cell else note
             all_ok = all_ok and cell["ok"]
             cells.append(cell)
-            records.append(cell)
-    aggregates = {"cells": cells}
     return ExperimentReport(
         name="phase_diagram",
         config={
@@ -625,8 +611,8 @@ def experiment_phase_diagram(
             "offspring": offspring.as_dict(),
             "x0": x0, "horizon": horizon, "n": n, "seed": seed,
         },
-        replicate_records=records,
-        aggregates=aggregates,
+        replicate_records=cells,
+        aggregates={"cells": cells},
         thresholds=thresholds,
         passed=all_ok,
         n_events=n_events,
@@ -690,9 +676,8 @@ def tk_schedule_report(k_max: int, delta: float = 1.0, growth_exponent: float = 
 # ---------------------------------------------------------------------------
 
 
-def suite_hitting_time_ks(params: ModelParams, n: int, rng: np.random.Generator,
-                          x: float = 1.0) -> dict:
-    """KS test of the first-passage sampler against its CDF.
+def suite_hitting_time_ks(params: ModelParams, n: int, rng: np.random.Generator) -> dict:
+    """KS test of the first-passage sampler from x = 1 against its CDF.
 
     The reference CDF is the standard two-term first-passage law (mean x/c,
     shape x^2); it is spot-validated here against direct quadrature of
@@ -701,6 +686,7 @@ def suite_hitting_time_ks(params: ModelParams, n: int, rng: np.random.Generator,
     """
     from scipy import stats
 
+    x = 1.0
     samples = sample_hitting_time(x, params, rng, size=n)
     dist = stats.invgauss(mu=1.0 / (params.c * x), scale=x * x)
     spots = [0.3, 1.0, 3.0]
@@ -720,15 +706,15 @@ def suite_hitting_time_ks(params: ModelParams, n: int, rng: np.random.Generator,
 
 
 def suite_killed_position_ks(params: ModelParams, n: int, rng: np.random.Generator,
-                             x: float = 1.0, t: float = 1.0,
                              position_offset: float = 0.0) -> dict:
-    """KS test of surviving killed-step positions against the conditional CDF
-    killed_cdf/survival_probability.  position_offset is a sensitivity
-    control for tests: a nonzero offset must make the suite fail."""
+    """KS test of surviving killed-step positions (x = 1, t = 1) against the
+    conditional CDF killed_cdf/survival_probability.  position_offset is a
+    sensitivity control for tests: a nonzero offset must make the suite fail."""
     from scipy import stats
 
+    x, t = 1.0, 1.0
     survived, pos = sample_killed_steps_batch(
-        np.full(n, float(x)), np.full(n, float(t)), params, rng
+        np.full(n, x), np.full(n, t), params, rng
     )
     ys = pos[survived] + position_offset
     sp = float(survival_probability(x, t, params))
@@ -757,13 +743,13 @@ def suite_killed_position_ks(params: ModelParams, n: int, rng: np.random.Generat
     }
 
 
-def suite_survival_binomial(params: ModelParams, n: int, rng: np.random.Generator,
-                            x: float = 1.0, t: float = 1.0) -> dict:
-    """Survival indicator of the killed step against Binomial(n, sp)."""
+def suite_survival_binomial(params: ModelParams, n: int, rng: np.random.Generator) -> dict:
+    """Survival indicator of the killed step (x = 1, t = 1) against Binomial(n, sp)."""
     from scipy import stats
 
+    x, t = 1.0, 1.0
     survived, _ = sample_killed_steps_batch(
-        np.full(n, float(x)), np.full(n, float(t)), params, rng
+        np.full(n, x), np.full(n, t), params, rng
     )
     sp = float(survival_probability(x, t, params))
     res = stats.binomtest(int(survived.sum()), n, p=sp)
@@ -802,13 +788,11 @@ def suite_branching_stats(params: ModelParams, n: int, seed: int) -> dict:
 
     recorder = EventRecorder()
     j = 0
-    events = 0
-    while recorder.n_events < n and j < max(64, 4 * n):
-        rng = spawn_rng_stream(seed, j)
-        res = run_replicate(params, x0, h, [], None, rng, event_recorder=recorder,
-                            population_cap=30_000_000, checkpoint_chains=False)
-        events += res.n_events
+    for _ in _replicates(params, x0, h, [], max(64, 4 * n), seed, event_recorder=recorder,
+                         population_cap=30_000_000, checkpoint_chains=False):
         j += 1
+        if recorder.n_events >= n:
+            break
 
     waits = recorder.waits()[:n]
     times = recorder.times()[:n]

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,12 +29,10 @@ from .kernel import killed_density, sample_killed_steps_batch, survival_probabil
 from .model import IntervalSet, ModelParams, Regime, classify_regime, ground_state_h, nu_measure
 
 __all__ = [
-    "SpinePair",
     "expected_count",
     "expected_count_asymptotic",
     "extinction_probability",
     "second_moment_exact",
-    "sample_spine_pair",
     "spine_second_moment_mc",
     "mean_one_check",
 ]
@@ -218,27 +215,6 @@ def second_moment_exact(x: float, t: float, params: ModelParams) -> float:
     return term1 + term2
 
 
-@dataclass(frozen=True)
-class SpinePair:
-    """One two-spine draw: a common killed path that splits at an
-    exponential time (rate (mu2-mu1) r) and continues as two independent
-    killed paths to the horizon."""
-
-    split_time: float
-    common_path_end: float
-    end1: float
-    end2: float
-    weight: float
-
-    def __post_init__(self) -> None:
-        if not self.split_time > 0:
-            raise ValueError("split_time must be positive")
-        if self.weight < 1.0 - 1e-12:
-            raise ValueError("two-spine weight is >= 1 by construction")
-        if self.common_path_end == 0.0 and (self.end1 != 0.0 or self.end2 != 0.0):
-            raise ValueError("absorbed common path cannot have surviving ends")
-
-
 def _pair_exponent(params: ModelParams) -> tuple[float, float]:
     """(split rate, weight rate); asserts the variance identity linking them."""
     law = params.offspring
@@ -252,7 +228,10 @@ def _pair_exponent(params: ModelParams) -> tuple[float, float]:
 def _sample_pairs_vectorized(
     x: float, t: float, params: ModelParams, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(split_times, common_ends, end1, end2, weights); ends are 0 when absorbed."""
+    """n two-spine draws: a common killed path from x splits at an exponential
+    time (rate (mu2-mu1) r, capped at t) into two independent killed paths to t.
+    Returns (split_times, common_ends, end1, end2, weights >= 1); ends are 0
+    when absorbed."""
     split_rate, weight_rate = _pair_exponent(params)
     if split_rate > 0:
         E = rng.exponential(scale=1.0 / split_rate, size=n)
@@ -279,14 +258,6 @@ def _sample_pairs_vectorized(
     end1[whole] = ypos[whole]
     end2[whole] = ypos[whole]
     return tau, common, end1, end2, weights
-
-
-def sample_spine_pair(x: float, t: float, params: ModelParams, rng: np.random.Generator) -> SpinePair:
-    """Draw a single SpinePair started at x with horizon t."""
-    if not (x > 0 and t > 0):
-        raise ValueError("sample_spine_pair requires x>0 and t>0")
-    tau, common, e1, e2, w = _sample_pairs_vectorized(x, t, params, 1, rng)
-    return SpinePair(float(tau[0]), float(common[0]), float(e1[0]), float(e2[0]), float(w[0]))
 
 
 def spine_second_moment_mc(

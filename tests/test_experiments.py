@@ -328,6 +328,34 @@ def test_phase_cap_abort_is_undecided_not_survived(monkeypatch):
     assert not cell["ok"] and not rep.passed
 
 
+def test_phase_cells_reach_engine_through_module_name_on_shifted_streams(monkeypatch):
+    # Cell k's replicate j must draw stream k n + j, and every replicate must
+    # reach the engine through experiments.run_replicate, the name that
+    # tracing and the cap test rebind.
+    calls = []
+
+    def recording(params, x0, horizon, grid, trunc_M, rng, **kw):
+        key = rng.bit_generator.state["state"]["key"].copy()
+        res = run_replicate(params, x0, horizon, grid, trunc_M, rng, **kw)
+        calls.append((params, x0, horizon, grid, trunc_M, kw, key, res))
+        return res
+
+    monkeypatch.setattr(experiments, "run_replicate", recording)
+    n, seed = 3, 29
+    rep = experiment_phase_diagram([1.0, 1.2], [1.5], OffspringLaw.dyadic(), 1.0, 8.0, n, seed)
+    assert [cell["n"] for cell in rep.aggregates["cells"]] == [n, n]
+    assert len(calls) == 2 * n
+    for m, (params, x0, horizon, grid, trunc_M, kw, key, res) in enumerate(calls):
+        k, j = divmod(m, n)
+        assert params.c == [1.0, 1.2][k]
+        stream = spawn_rng_stream(seed, k * n + j)
+        assert np.array_equal(key, stream.bit_generator.state["state"]["key"])
+        direct = run_replicate(params, x0, horizon, grid, trunc_M, stream, **kw)
+        assert (res.status, res.n_events) == (direct.status, direct.n_events)
+        assert np.array_equal(res.trace.d, direct.trace.d)
+        assert np.array_equal(res.trace.n_alive, direct.trace.n_alive)
+
+
 @pytest.mark.parametrize("c_grid, r_grid", [([], [1.5]), ([1.0], []), ([], [])])
 def test_phase_diagram_rejects_empty_grid(c_grid, r_grid):
     # zero cells would "pass" with nothing tested

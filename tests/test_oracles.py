@@ -11,12 +11,10 @@ from bbma.engine import run_replicate, spawn_rng_stream
 from bbma.kernel import survival_probability
 from bbma.model import IntervalSet, ModelParams, OffspringLaw, ground_state_h
 from bbma.oracles import (
-    SpinePair,
     expected_count,
     expected_count_asymptotic,
     extinction_probability,
     mean_one_check,
-    sample_spine_pair,
     second_moment_exact,
     spine_second_moment_mc,
 )
@@ -27,9 +25,11 @@ AXIS = IntervalSet.positive_axis()
 
 # Frozen recomputed oracles at (x=1, c=1, r=0.6, dyadic, t=1).  The count is
 # e^{0.6} * P_1(X_1 > 0) with the survival factor verified against the
-# first-passage quadrature in test_kernel.
+# first-passage quadrature in test_kernel.  The second moment is an
+# independent nested scipy quad of the identity in the oracles docstring at
+# epsrel 1e-13, without bbma.
 EXPECTED_COUNT_REF = 0.6047575833832470
-SECOND_MOMENT_REF = 1.2306691300158985
+SECOND_MOMENT_REF = 1.2306691306388908
 
 MEAN_ONE_TOL = 1e-8
 
@@ -142,7 +142,7 @@ def test_engine_first_moment_on_interval_sets():
 
 def test_second_moment_frozen_value():
     assert second_moment_exact(1.0, 1.0, params()) == pytest.approx(
-        SECOND_MOMENT_REF, rel=1e-6)
+        SECOND_MOMENT_REF, rel=1e-10)
 
 
 def test_second_moment_delta1_is_survival():
@@ -267,18 +267,13 @@ def test_second_moment_vs_engine():
 def test_spine_pair_structure():
     p = params(offspring=OffspringLaw.from_pmf({0: 0.2, 2: 0.8}))
     rng = np.random.default_rng(5)
-    saw_split = saw_absorbed = False
-    for _ in range(500):
-        pair = sample_spine_pair(1.0, 2.0, p, rng)
-        assert isinstance(pair, SpinePair)
-        assert 0 < pair.split_time <= 2.0
-        assert pair.weight >= 1.0
-        if pair.common_path_end == 0.0:
-            assert pair.end1 == 0.0 and pair.end2 == 0.0
-            saw_absorbed = True
-        if pair.split_time < 2.0:
-            saw_split = True
-    assert saw_split and saw_absorbed
+    tau, common, end1, end2, w = oracles._sample_pairs_vectorized(1.0, 2.0, p, 500, rng)
+    assert tau.shape == common.shape == end1.shape == end2.shape == w.shape == (500,)
+    assert np.all((tau > 0) & (tau <= 2.0))
+    assert np.all(w >= 1.0)
+    absorbed = common == 0.0
+    assert np.all(end1[absorbed] == 0.0) and np.all(end2[absorbed] == 0.0)
+    assert absorbed.any() and (tau < 2.0).any()
 
 
 def test_spine_weight_identity():
@@ -306,10 +301,11 @@ def test_spine_delta1_degenerates_to_survival():
     est, se = spine_second_moment_mc(1.0, 1.0, AXIS, AXIS, p, n, rng)
     sp = survival_probability(1.0, 1.0, p)
     assert abs(est - sp) < 3 * se
-    pair = sample_spine_pair(1.0, 1.0, p, np.random.default_rng(17))
-    assert pair.split_time == 1.0
-    assert pair.weight == 1.0
-    assert pair.end1 == pair.end2 == pair.common_path_end
+    tau, common, end1, end2, w = oracles._sample_pairs_vectorized(
+        1.0, 1.0, p, 1000, np.random.default_rng(17))
+    assert np.all(tau == 1.0)
+    assert np.all(w == 1.0)
+    assert np.array_equal(end1, common) and np.array_equal(end2, common)
 
 
 def test_spine_symmetric_in_sets():
