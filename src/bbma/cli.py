@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .engine import run_replicate, spawn_rng_stream
+from .engine import run_replicate, spawn_rng_stream, truncated_martingale
 from .experiments import (
     _mean_se,
     experiment_kesten,
@@ -307,25 +307,25 @@ def cmd_simulate(cfg: RunConfig) -> int:
         t: {"alive": [], "D": [], "D_trunc": [], "absorbed": []} for t in grid
     }
     for i in range(n):
-        rng = spawn_rng_stream(cfg.seed, i)
-        res = run_replicate(params, cfg.x0, cfg.horizon, grid, cfg.truncation_M, rng,
-                            interval_sets=sets)
+        res = run_replicate(params, cfg.x0, cfg.horizon, grid, spawn_rng_stream(cfg.seed, i))
         tr = res.trace
+        d_trunc = tr.d if cfg.truncation_M is None else truncated_martingale(
+            res.censuses, params, cfg.x0, cfg.truncation_M)
+        counts = [[int(B.indicator(cen.alive_positions).sum()) for B in sets] for cen in res.censuses]
         for j, cen in enumerate(res.censuses):
-            counts = tr.set_counts[j].tolist()
             crows.append([i, cen.time, int(tr.n_alive[j]), cen.absorbed_count,
-                          *counts, tr.d[j], tr.d_trunc[j]])
+                          *counts[j], tr.d[j], d_trunc[j]])
             acc = per_census[cen.time]
             acc["alive"].append(int(tr.n_alive[j]))
             acc["D"].append(tr.d[j])
-            acc["D_trunc"].append(tr.d_trunc[j])
+            acc["D_trunc"].append(d_trunc[j])
             acc["absorbed"].append(cen.absorbed_count)
         records.append({
             "replicate": i, "status": res.status,
             "n_events": res.n_events, "counters": res.counters,
             "times": tr.times.tolist(), "alive": tr.n_alive.tolist(),
-            "D": tr.d.tolist(), "D_trunc": tr.d_trunc.tolist(),
-            "counts": tr.set_counts.tolist(),
+            "D": tr.d.tolist(), "D_trunc": d_trunc.tolist(),
+            "counts": counts,
         })
 
     set_cols = [f"count_B{k+1}" for k in range(len(sets))]
@@ -401,11 +401,10 @@ def cmd_kesten(cfg: RunConfig) -> int:
     if "per_census" in report.aggregates:
         grid = [row["time"] for row in report.aggregates["per_census"]]
         crows = []
-        for rec in report.replicate_records:
-            for j, t in enumerate(grid):
-                counts = rec["counts"][j]
-                crows.append([rec["replicate"], t, rec["alive"][j], rec["absorbed"][j],
-                              *counts, rec["D"][j], rec["D"][j]])
+        for rec in report.replicate_records:  # a cap abort has fewer censuses
+            cols = zip(grid, rec["alive"], rec["absorbed"], rec["counts"], rec["D"])
+            for t, alive, absorbed, counts, d in cols:
+                crows.append([rec["replicate"], t, alive, absorbed, *counts, d, d])
         cheader = ["replicate", "time", "alive", "absorbed",
                    *[f"count_B{k+1}" for k in range(len(sets))], "D", "D_trunc"]
 

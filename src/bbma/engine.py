@@ -13,12 +13,12 @@ events and census points, each with time and position) as a parent-pointer
 tree that stores each checkpoint once, however many particles descend from
 it, appended in blocks whose rows have their parents in earlier blocks.
 Window checks and per-segment escape factors accumulate down that tree, one
-pass per block.  Truncated counts and martingales are therefore
-recomputable for any window size (and any clock shift) from one set of
-paths: as 0/1 flags judged at the checkpoints (truncation_flags_for), or as
-bracketed conditional probabilities of the path-continuous escape
-(window_escape_bounds).  A run's own window flags are the same flags,
-folded down the same tree at each census.
+pass per block.  A run records only what the run alone can observe (D_t and
+|N_t| per census); window flags, the truncated martingale D^M and counts in
+a set are computed from the stored censuses for any window size (and any
+clock shift): as 0/1 flags judged at the checkpoints (truncation_flags_for,
+truncated_martingale), or as bracketed conditional probabilities of the
+path-continuous escape (window_escape_bounds).
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import sample_killed_steps_batch
-from .model import IntervalSet, ModelParams, ground_state_h
+from .model import ModelParams, ground_state_h
 from .oracles import _kesten_wave
 
 # Branch-vs-census ties inside this window are processed as branch first.
@@ -46,6 +46,7 @@ __all__ = [
     "spawn_rng_stream",
     "run_replicate",
     "truncation_flags_for",
+    "truncated_martingale",
     "window_escape_bounds",
 ]
 
@@ -78,9 +79,7 @@ class Census:
 
     time: float
     alive_positions: np.ndarray
-    truncated_flags: np.ndarray
     absorbed_count: int
-    extinct: bool
     ancestor_index: np.ndarray
     # The interval's checkpoint tree for window queries and escape bounds:
     # one row per checkpoint (time, position, parent row), each alive
@@ -97,14 +96,11 @@ class Census:
 
 @dataclass(frozen=True)
 class MartingaleTrace:
-    """Per-census time series of (D_t, truncated D_t, |N_t|, |N_t(B)|)."""
+    """Per-census time series of (D_t, |N_t|)."""
 
     times: np.ndarray
     d: np.ndarray
-    d_trunc: np.ndarray
     n_alive: np.ndarray
-    set_counts: np.ndarray
-    interval_sets: tuple[IntervalSet, ...]
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,7 @@ _COLUMNS = {
     "pos": np.float64,     # position
     "anc": np.int64,       # slot in the previous census, -1 before the first
     "chain": np.int64,     # latest checkpoint row of this interval's tree;
-                           # read only with a window or checkpoint chains
+                           # read only with checkpoint chains
 }
 
 
@@ -212,9 +208,7 @@ class _Run:
         x0: float,
         horizon: float,
         census_grid,
-        truncation_M,
         rng,
-        interval_sets,
         population_cap,
         event_recorder,
         checkpoint_chains,
@@ -224,9 +218,7 @@ class _Run:
         self.x0 = float(x0)
         self.horizon = float(horizon)
         self.grid = [float(t) for t in census_grid]
-        self.M = None if truncation_M is None else float(truncation_M)
         self.rng = rng
-        self.sets = tuple(interval_sets)
         self.cap = int(population_cap)
         self.recorder = event_recorder
         self.keep_chains = bool(checkpoint_chains)
@@ -267,9 +259,9 @@ class _Run:
     def _open_table(self, t: float, co: _Cohort) -> list | None:
         """Start an interval's checkpoint table, a list of (time, position,
         previous row) column blocks: co's particles at time t are its roots,
-        and each particle's chain points at its own root.  None when neither
-        a window nor checkpoint chains need it."""
-        if self.M is None and not self.keep_chains:
+        and each particle's chain points at its own root.  None without
+        checkpoint chains."""
+        if not self.keep_chains:
             return None
         co.chain = np.arange(co.size, dtype=np.int64)
         return [(np.full(co.size, t), co.pos, np.full(co.size, -1, np.int64))]
@@ -384,21 +376,10 @@ class _Run:
             chk_time, chk_pos, chk_prev = (np.concatenate(col) for col in zip(*table))
             chk_block = np.cumsum([0, *(len(times) for times, _, _ in table)])
             chk_slot = chk_time.size - nslots + slots
-
-        if self.M is None:
-            flags = np.ones(nslots, dtype=bool)
-        else:
-            prev = self.censuses[-1].truncated_flags if self.censuses else None
-            ok = _window_ok(chk_time, chk_pos, chk_prev, chk_block, chk_slot, self.M, 0.0)
-            flags = _inherit_flags(ok, co.anc, prev)
-        if not self.keep_chains:
-            chk_slot = chk_time = chk_pos = chk_prev = chk_block = None
         census = Census(
             time=t_c,
             alive_positions=co.pos,
-            truncated_flags=flags,
             absorbed_count=self.absorbed,
-            extinct=bool(nslots == 0),
             ancestor_index=co.anc,
             chk_slot=chk_slot,
             chk_time=chk_time,
@@ -407,20 +388,13 @@ class _Run:
             chk_block=chk_block,
         )
         self.censuses.append(census)
-        self._append_trace(census)
+        decay = math.exp(-self.params.growth_exponent * t_c)
+        d = float(np.sum(ground_state_h(co.pos, self.params))) * decay / self.h_x0
+        self.trace_rows.append((t_c, d, nslots))
 
         # Re-seed the cohort for the next interval.
         co.anc = slots
         self.co = co
-
-    def _append_trace(self, census: Census) -> None:
-        p = self.params
-        decay = math.exp(-p.growth_exponent * census.time)
-        hvals = ground_state_h(census.alive_positions, p)
-        d = float(np.sum(hvals)) * decay / self.h_x0
-        d_tr = float(np.sum(hvals, where=census.truncated_flags)) * decay / self.h_x0
-        counts = tuple(int(B.indicator(census.alive_positions).sum()) for B in self.sets)
-        self.trace_rows.append((census.time, d, d_tr, census.alive_positions.size, counts))
 
     # -- driver -------------------------------------------------------------
 
@@ -448,12 +422,7 @@ class _Run:
         trace = MartingaleTrace(
             times=np.array([row[0] for row in self.trace_rows]),
             d=np.array([row[1] for row in self.trace_rows]),
-            d_trunc=np.array([row[2] for row in self.trace_rows]),
-            n_alive=np.array([row[3] for row in self.trace_rows], np.int64),
-            set_counts=np.array([row[4] for row in self.trace_rows], np.int64).reshape(
-                len(self.trace_rows), len(self.sets)
-            ),
-            interval_sets=self.sets,
+            n_alive=np.array([row[2] for row in self.trace_rows], np.int64),
         )
         counters = {
             "created": self.created,
@@ -477,10 +446,8 @@ def run_replicate(
     x0: float,
     horizon: float,
     census_grid,
-    truncation_M: float | None = None,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     *,
-    interval_sets=(),
     population_cap: int = 10_000_000,
     event_recorder: EventRecorder | None = None,
     checkpoint_chains: bool = True,
@@ -489,14 +456,12 @@ def run_replicate(
     """Simulate one replicate started from a single particle at x0.
 
     Censuses are taken at the times in census_grid (sorted, within
-    [0, horizon]).  truncation_M switches on window flags for
-    J^M_s = [0, M(1+s^{3/4})): each census folds the window checks down its
-    interval's checkpoint tree and joins the previous census's flags, by the
-    truncation_flags_for rule, so they are checked at every event and census
-    time only (a path that leaves and re-enters between checks keeps its
-    flag, so D_trunc is biased upward; window_escape_bounds brackets the
-    path-continuous escape after the fact).  Without a window every flag is
-    true.
+    [0, horizon]); each stores the alive positions, their ancestors at the
+    previous census and, with checkpoint_chains, the interval's checkpoint
+    tree, and the trace holds D_t and |N_t| per census.  Window flags, D^M
+    (truncation_flags_for, truncated_martingale, window_escape_bounds) and
+    counts in a set (IntervalSet.indicator on alive_positions) are computed
+    from the censuses after the run.
     A replicate that reaches the horizon has status "ok".  Exceeding
     population_cap cumulative particle-events aborts it with status
     "population_cap_exceeded" and partial censuses.  Whatever the status,
@@ -514,18 +479,15 @@ def run_replicate(
     before the cap check and draws nothing, so a stopped replicate's stream
     is a prefix of the unstopped one.  Sub/critical models never stop (q = 1).
 
-    checkpoint_chains=False drops the per-census checkpoint trees, whose
-    size is O(branch events + alive particles) per census and dominates
-    memory for large populations.  A run with a window still builds each
-    interval's tree to judge its flags, but does not keep it.  Stored
-    window flags are unaffected; truncation_flags_for and
-    window_escape_bounds need the trees.  Draws identical randomness
-    either way.
+    checkpoint_chains=False builds no checkpoint trees, whose size is
+    O(branch events + alive particles) per census and dominates memory for
+    large populations; the window functions need them.  Draws identical
+    randomness either way.
     """
     if rng is None:
         raise ValueError("run_replicate requires an rng; see spawn_rng_stream")
     return _Run(
-        params, x0, horizon, census_grid, truncation_M, rng, interval_sets,
+        params, x0, horizon, census_grid, rng,
         population_cap, event_recorder, checkpoint_chains, certify_survival,
     ).run()
 
@@ -534,11 +496,10 @@ def run_replicate(
 
 
 def truncation_flags_for(censuses: list[Census], M: float, s: float = 0.0) -> list[np.ndarray]:
-    """Recompute hereditary window flags for any (M, s) from stored censuses.
+    """Hereditary window flags for any (M, s) from stored censuses.
 
-    Checks every event and census time.  A run's stored flags are this rule
-    at s=0 with the run's M, so recomputing them reproduces them bit for
-    bit.  The shift s slides the window clock: position < M(1 + (s + time)^{3/4}).
+    Checks every event and census time.  The shift s slides the window
+    clock: position < M(1 + (s + time)^{3/4}).
 
     These are checkpoint-only flags: a path that leaves the window and
     returns between two checkpoints keeps its flag, so ~flag is a lower
@@ -555,6 +516,23 @@ def truncation_flags_for(censuses: list[Census], M: float, s: float = 0.0) -> li
         prev = _inherit_flags(ok, cen.ancestor_index, prev)
         flags.append(prev)
     return flags
+
+
+def truncated_martingale(censuses: list[Census], params: ModelParams, x0: float, M: float,
+                         s: float = 0.0) -> np.ndarray:
+    """D^M at each census of a replicate started at x0: the additive
+    martingale e^{-gt} sum h(x) / h(x0) over the particles that
+    truncation_flags_for(censuses, M, s) keeps, so 0 <= D^M <= D, with
+    equality at M = inf.  Checkpoint-only, like those flags, so biased
+    upward against the path-continuous window.  Needs checkpoint chains.
+    """
+    h_x0 = ground_state_h(float(x0), params)
+    flags = truncation_flags_for(censuses, M, s)
+    return np.array([
+        float(np.sum(ground_state_h(cen.alive_positions, params), where=f))
+        * math.exp(-params.growth_exponent * cen.time) / h_x0
+        for cen, f in zip(censuses, flags)
+    ])
 
 
 def _window_ok(time, pos, prev, block, slot, M: float, s: float) -> np.ndarray:

@@ -6,6 +6,8 @@ order, and every aggregate carries its sample size and standard error.
 Pass/fail thresholds are either first-principles (3-sigma oracle agreement)
 or frozen regression values from a pre-registered pilot run stored in
 data/pilot_thresholds.json — the harness never tunes thresholds at run time.
+A replicate that hits the population cap is undecided: its record is kept,
+it is left out of every aggregate, and it fails the contract with a message.
 """
 from __future__ import annotations
 
@@ -154,7 +156,8 @@ def _require_supercritical(params: ModelParams, what: str) -> None:
 
 def _replicates(params: ModelParams, x0: float, horizon: float, grid, n: int, seed: int,
                 first: int = 0, **kw):
-    """Yield run_replicate for replicates first .. first + n - 1, in order.
+    """An iterator over run_replicate for replicates first .. first + n - 1,
+    in order; n < 1 raises ValueError at once, before any replicate runs.
 
     Replicate i draws spawn_rng_stream(seed, i), so an experiment's replicate
     j uses stream j, and phase cell k passes first = k n to use streams
@@ -162,8 +165,26 @@ def _replicates(params: ModelParams, x0: float, horizon: float, grid, n: int, se
     and its engine suite to seed + 3.)  run_replicate is looked up as this
     module's global at every call, so rebinding that name reaches the engine.
     """
-    for i in range(first, first + n):
-        yield run_replicate(params, x0, horizon, grid, None, spawn_rng_stream(seed, i), **kw)
+    if not n >= 1:
+        raise ValueError(f"an experiment needs at least one replicate, got n = {n}")
+    return (run_replicate(params, x0, horizon, grid, spawn_rng_stream(seed, i), **kw)
+            for i in range(first, first + n))
+
+
+def _decided(records: list[dict], key: str, shape: tuple) -> np.ndarray:
+    """rec[key] (of this shape) stacked over the replicates not stopped by the cap."""
+    rows = [rec[key] for rec in records if rec["status"] != "population_cap_exceeded"]
+    return np.array(rows).reshape(-1, *shape)
+
+
+def _note_undecided(out: dict, undecided: int, passed: bool) -> bool:
+    """Record in out how many replicates hit the population cap; any such
+    replicate fails the contract, with a message.  Returns the verdict."""
+    out["undecided"] = undecided
+    if undecided:
+        note = f"{undecided} replicates hit the population cap without a verdict"
+        out["message"] = f"{out['message']}; {note}" if "message" in out else note
+    return passed and not undecided
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +210,8 @@ def experiment_kesten(
     _require_supercritical(params, "Kesten experiment")
     B_list = [B if isinstance(B, IntervalSet) else IntervalSet.parse(B) for B in B_list]
     grid = [horizon * k / 4.0 for k in (1, 2, 3, 4)]
+    # made first, so that n < 1 raises before the feasibility verdict
+    reps = _replicates(params, x0, horizon, grid, n_replicates, seed, checkpoint_chains=False)
     feasible = expected_count_asymptotic(x0, horizon, IntervalSet.positive_axis(), params) <= DESK_POP_CAP
     thresholds = {
         "median_abs_gap_final_max": load_thresholds()["kesten"]["median_abs_gap_final"],
@@ -208,15 +231,8 @@ def experiment_kesten(
 
     n_events = 0
     records = []
-    R = np.empty((n_replicates, len(grid), len(B_list)))
-    D = np.empty((n_replicates, len(grid)))
-    alive = np.empty((n_replicates, len(grid)), dtype=np.int64)
-    for i, res in enumerate(_replicates(params, x0, horizon, grid, n_replicates, seed,
-                                        interval_sets=tuple(B_list), checkpoint_chains=False)):
+    for i, res in enumerate(reps):
         n_events += res.n_events
-        R[i] = res.trace.set_counts / denom[:, None]
-        D[i] = res.trace.d
-        alive[i] = res.trace.n_alive
         records.append({
             "replicate": i,
             "status": res.status,
@@ -224,8 +240,12 @@ def experiment_kesten(
             "alive": res.trace.n_alive.tolist(),
             "absorbed": [cen.absorbed_count for cen in res.censuses],
             "D": res.trace.d.tolist(),
-            "counts": res.trace.set_counts.tolist(),
+            "counts": [[int(B.indicator(cen.alive_positions).sum()) for B in B_list]
+                       for cen in res.censuses],
         })
+    R = _decided(records, "counts", (len(grid), len(B_list))) / denom[:, None]
+    D = _decided(records, "D", (len(grid),))
+    alive = _decided(records, "alive", (len(grid),))
 
     gaps = np.abs(R - nuB[None, None, :] * D[:, :, None])
     surv = alive > 0
@@ -259,6 +279,7 @@ def experiment_kesten(
             and final["mean_abs_gap"]["value"] < mid["mean_abs_gap"]["value"]
         )
         aggregates["judged_set"] = key
+    passed = _note_undecided(aggregates, len(records) - len(D), passed)
     return ExperimentReport(
         name="kesten",
         config=_echo(params, x0=x0, horizon=horizon, n=n_replicates, seed=seed,
@@ -301,8 +322,8 @@ def experiment_empirical_qsd(
             "ks": [(_ks_distance(c.alive_positions, params) if c.alive_positions.size else math.nan)
                    for c in res.censuses],
         })
-    ks = np.array([rec["ks"] for rec in records])          # (n, len(grid)), NaN if extinct
-    alive = np.array([rec["alive"] for rec in records])
+    ks = _decided(records, "ks", (len(grid),))          # NaN if extinct
+    alive = _decided(records, "alive", (len(grid),))
 
     per_census = []
     for j, t in enumerate(grid):
@@ -324,6 +345,7 @@ def experiment_empirical_qsd(
             med[-1] <= thresholds["median_ks_final_max"]
             and med[-1] < med[-2] < med[-3]
         )
+    passed = _note_undecided(aggregates, len(records) - len(ks), passed)
     return ExperimentReport(
         name="qsd",
         config=_echo(params, x0=x0, horizon=horizon, n=n_replicates, seed=seed),
@@ -367,8 +389,8 @@ def experiment_martingale(
         n_events += res.n_events
         records.append({"replicate": i, "status": res.status, "D": res.trace.d.tolist(),
                         "alive": res.trace.n_alive.tolist()})
-    D = np.array([rec["D"] for rec in records])
-    alive = np.array([rec["alive"] for rec in records])
+    D = _decided(records, "D", (len(grid),))
+    alive = _decided(records, "alive", (len(grid),))
 
     mean_d = {f"{t:g}": _mean_se(D[:, j]) for j, t in enumerate(grid)}
     zsc = {t: abs(v["value"] - 1.0) / v["stderr"] for t, v in mean_d.items()}
@@ -394,6 +416,7 @@ def experiment_martingale(
         and all(a >= b for a, b in zip(tail_vals, tail_vals[1:]))
         and (small_frac["n"] > 0 and small_frac["value"] <= thresholds["small_d_fraction_max"])
     )
+    passed = _note_undecided(aggregates, len(records) - len(D), passed)
     return ExperimentReport(
         name="martingale",
         config=_echo(params, x0=x0, horizons=grid, K_list=K_list, n=n, seed=seed),
@@ -454,27 +477,27 @@ def experiment_truncation(
     scale = math.exp(-params.growth_exponent * horizon) / ground_state_h(x0, params)
 
     n_events = 0
-    status, alive = [], []
-    gaps = np.empty((n, 4, len(M_list)))  # rows: D lower, D upper, N lower, N upper
+    records = []
     for i, res in enumerate(_replicates(params, x0, horizon, [horizon], n, seed)):
         n_events += res.n_events
-        status.append(res.status)
+        records.append({"replicate": i, "status": res.status})
+        if res.status == "population_cap_exceeded":
+            continue
         final = res.censuses[-1]
-        alive.append(int(final.alive_positions.size))
         hvals = ground_state_h(final.alive_positions, params)
+        g = np.empty((4, len(M_list)))  # rows: D lower, D upper, N lower, N upper
         for j, M in enumerate(M_list):
             lo, hi = window_escape_bounds(res.censuses, M)[-1]
-            gaps[i, :, j] = (np.dot(hvals, lo) * scale, np.dot(hvals, hi) * scale,
-                             lo.sum() / ec, hi.sum() / ec)
-    mid = {"D": 0.5 * (gaps[:, 0] + gaps[:, 1]), "N": 0.5 * (gaps[:, 2] + gaps[:, 3])}
-    records = [
-        {"replicate": i, "status": status[i],
-         "gap_D": mid["D"][i].tolist(), "gap_N": mid["N"][i].tolist(),
-         "gap_D_lower": gaps[i, 0].tolist(), "gap_D_upper": gaps[i, 1].tolist(),
-         "gap_N_lower": gaps[i, 2].tolist(), "gap_N_upper": gaps[i, 3].tolist(),
-         "alive": alive[i]}
-        for i in range(n)
-    ]
+            g[:, j] = (np.dot(hvals, lo) * scale, np.dot(hvals, hi) * scale,
+                       lo.sum() / ec, hi.sum() / ec)
+        records[-1].update(
+            gap_D=(0.5 * (g[0] + g[1])).tolist(), gap_N=(0.5 * (g[2] + g[3])).tolist(),
+            gap_D_lower=g[0].tolist(), gap_D_upper=g[1].tolist(),
+            gap_N_lower=g[2].tolist(), gap_N_upper=g[3].tolist(),
+            alive=int(final.alive_positions.size))
+    ends = ("gap_D_lower", "gap_D_upper", "gap_N_lower", "gap_N_upper")
+    gaps = np.stack([_decided(records, end, (len(M_list),)) for end in ends], axis=1)
+    mid = {key: _decided(records, "gap_" + key, (len(M_list),)) for key in ("D", "N")}
 
     monotone = bool(np.all(np.diff(gaps, axis=2) <= 1e-12))
 
@@ -482,8 +505,8 @@ def experiment_truncation(
         out = []
         for j in range(len(M_list)):
             row = _mean_se(mid[key][:, j])
-            row["lower"] = float(gaps[:, lo_row, j].mean())
-            row["upper"] = float(gaps[:, lo_row + 1, j].mean())
+            row["lower"] = _mean_se(gaps[:, lo_row, j])["value"]
+            row["upper"] = _mean_se(gaps[:, lo_row + 1, j])["value"]
             row["width"] = row["upper"] - row["lower"]
             out.append(row)
         return out
@@ -504,12 +527,12 @@ def experiment_truncation(
         "log_fit_r2": min(r2s) if defined else math.nan,
         "log_fit_slope": max(slopes) if defined else math.nan,
     }
-    passed = (
+    passed = _note_undecided(aggregates, len(records) - len(gaps), (
         monotone
         and defined
         and max(slopes) < 0
         and min(r2s) >= thresholds["log_fit_r2_min"]
-    )
+    ))
     return ExperimentReport(
         name="truncation",
         config=_echo(params, x0=x0, horizon=horizon, M_list=M_list, n=n, seed=seed),
@@ -597,10 +620,7 @@ def experiment_phase_diagram(
                     cell["message"] = "horizon too short for an informative survival test"
             else:
                 cell["ok"] = bool(freq <= EXTINCTION_FREQ)
-            if undecided:
-                cell["ok"] = False
-                note = f"{undecided} replicates hit the population cap without a verdict"
-                cell["message"] = f"{cell['message']}; {note}" if "message" in cell else note
+            cell["ok"] = _note_undecided(cell, undecided, cell["ok"])
             all_ok = all_ok and cell["ok"]
             cells.append(cell)
     return ExperimentReport(

@@ -88,27 +88,27 @@ def killed_density(x, y, t, params: ModelParams):
     return float(out) if out.ndim == 0 else out
 
 
-def killed_cdf(x, y, t, params: ModelParams):
-    """P_x(X_t in (0, y], not absorbed), in closed Phi form.
+def _killed_mass(x, lo, hi, t, params: ModelParams) -> np.ndarray:
+    """P_x(X_t in (lo, hi], not absorbed) for 0 <= lo < hi <= inf, in closed
+    Phi form, vectorized over broadcast arguments.
 
     Each Gaussian difference is evaluated through the complementary tail
     identity Phi(b) - Phi(a) = Phi(-a) - Phi(-b), which keeps the terms
     accurate when both arguments are large and positive.
     """
     c = params.c
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    x, y, t = np.broadcast_arrays(x, y, t)
+    x, lo, hi, t = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (x, lo, hi, t)))
     rt = np.sqrt(t)
-    a0 = (c * t - x) / rt
-    a1 = (y - x + c * t) / rt
-    first = ndtr(-a0) - ndtr(-a1)
-    b0 = (x + c * t) / rt
-    b1 = (y + x + c * t) / rt
-    second = np.exp(2.0 * c * x + log_ndtr(-b0)) - np.exp(2.0 * c * x + log_ndtr(-b1))
-    out = np.clip(first - second, 0.0, None)
-    out = np.where(y > 0, out, 0.0)
+    first = ndtr(-((lo - x + c * t) / rt)) - ndtr(-((hi - x + c * t) / rt))
+    image_lo = np.exp(2.0 * c * x + log_ndtr(-((lo + x + c * t) / rt)))
+    image_hi = np.exp(2.0 * c * x + log_ndtr(-((hi + x + c * t) / rt)))
+    return np.clip(first - (image_lo - image_hi), 0.0, None)
+
+
+def killed_cdf(x, y, t, params: ModelParams):
+    """P_x(X_t in (0, y], not absorbed), in closed Phi form (_killed_mass)."""
+    y = np.asarray(y, dtype=np.float64)
+    out = np.where(y > 0, _killed_mass(x, 0.0, y, t, params), 0.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -233,13 +233,6 @@ class IntervalSet:
     def positive_axis(cls) -> "IntervalSet":
         return cls(((0.0, math.inf),))
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        """Union with a set that must be disjoint from this one."""
-        return IntervalSet(self.intervals + other.intervals)
-
-    def contains(self, x: float) -> bool:
-        return any(lo < x <= hi for lo, hi in self.intervals)
-
     def indicator(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized membership for an array of positions."""
         xs = np.asarray(xs, dtype=np.float64)

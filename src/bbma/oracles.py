@@ -23,9 +23,8 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
-from .kernel import killed_density, sample_killed_steps_batch, survival_probability
+from .kernel import _killed_mass, killed_density, sample_killed_steps_batch, survival_probability
 from .model import IntervalSet, ModelParams, Regime, classify_regime, ground_state_h, nu_measure
 
 __all__ = [
@@ -118,20 +117,6 @@ def quad(f, lo: float, hi: float, breaks=()) -> float:
     return val
 
 
-def _killed_mass(x: float, lo: float, hi: float, t: float, params: ModelParams) -> float:
-    """P_x(X_t in (lo, hi), not absorbed) for 0 <= lo < hi <= inf, in closed Phi form.
-
-    Both Gaussian differences go through complementary tails, Phi(b) - Phi(a)
-    = Phi(-a) - Phi(-b), so an upper tail far out keeps its relative accuracy.
-    """
-    c, rt = params.c, math.sqrt(t)
-    a = (np.array([lo, hi]) - x + c * t) / rt
-    b = (np.array([lo, hi]) + x + c * t) / rt
-    free = ndtr(-a[0]) - ndtr(-a[1])
-    image = np.exp(2.0 * c * x + log_ndtr(-b))
-    return max(float(free - (image[0] - image[1])), 0.0)
-
-
 def expected_count(x: float, t: float, B: IntervalSet, params: ModelParams) -> float:
     """E|N_t(B)| by the first-moment identity, in closed form (rel. tol 1e-8).
 
@@ -143,7 +128,7 @@ def expected_count(x: float, t: float, B: IntervalSet, params: ModelParams) -> f
     growth = math.exp(params.r * (params.offspring.mu1 - 1.0) * t)
     if B.intervals == ((0.0, math.inf),):
         return growth * float(survival_probability(x, t, params))
-    return growth * sum(_killed_mass(x, lo, hi, t, params) for lo, hi in B.intervals)
+    return growth * sum(float(_killed_mass(x, lo, hi, t, params)) for lo, hi in B.intervals)
 
 
 def expected_count_asymptotic(x: float, t: float, B: IntervalSet, params: ModelParams) -> float:

@@ -92,7 +92,7 @@ def test_03_mean_count_matches_first_moment_oracle():
     n = 10**4
     alive = np.empty((n, len(grid)))
     for i in range(n):
-        res = run_replicate(MILD_SUPERCRIT, 1.0, grid[-1], grid, None,
+        res = run_replicate(MILD_SUPERCRIT, 1.0, grid[-1], grid,
                             spawn_rng_stream(812, i), checkpoint_chains=False)
         alive[i] = res.trace.n_alive
     zmax = 0.0
@@ -110,7 +110,7 @@ def test_04_second_moment_engine_oracle_and_spine_agree():
     n = 10**5
     sq = np.empty(n)
     for i in range(n):
-        res = run_replicate(MILD_SUPERCRIT, 1.0, 1.0, [1.0], None,
+        res = run_replicate(MILD_SUPERCRIT, 1.0, 1.0, [1.0],
                             spawn_rng_stream(823, i), checkpoint_chains=False)
         sq[i] = float(res.trace.n_alive[-1]) ** 2
     exact = second_moment_exact(1.0, 1.0, MILD_SUPERCRIT)
@@ -133,7 +133,7 @@ def test_05_martingale_mean_one_and_extinct_zero():
     d = np.empty((n, len(grid)))
     final_alive = np.empty(n, dtype=np.int64)
     for i in range(n):
-        res = run_replicate(REF, 1.0, grid[-1], grid, None,
+        res = run_replicate(REF, 1.0, grid[-1], grid,
                             spawn_rng_stream(815, i), checkpoint_chains=False)
         d[i] = res.trace.d
         final_alive[i] = res.trace.n_alive[-1]

@@ -3,6 +3,7 @@ schemas, seed handling, and byte-level determinism of reruns."""
 
 import argparse
 import csv
+import functools
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bbma
+from bbma import experiments
 from bbma.cli import RunConfig, UsageError, _make_parser, main, parse_config
 from bbma.experiments import experiment_kesten, verify_samplers
 from bbma.model import ModelParams, OffspringLaw
@@ -393,6 +395,21 @@ def test_kesten_command_matches_direct_experiment(tmp_path):
     assert float(final[6]) == agg["median_abs_gap"]["value"]
     cen = _read(str(out / "censuses.csv")).splitlines()
     assert cen[0] == "replicate,time,alive,absorbed,count_B1,D,D_trunc"
+
+
+def test_kesten_command_writes_a_capped_replicates_censuses(tmp_path, monkeypatch):
+    # a replicate stopped at the cap writes the censuses it reached, and the
+    # run fails its contract
+    monkeypatch.setattr(experiments, "run_replicate",
+                        functools.partial(experiments.run_replicate, population_cap=100))
+    out = tmp_path / "k"
+    rc = main(["kesten", *SUPER, "--horizon", "4", "--replicates", "12", "--seed", "3",
+               "--out", str(out)])
+    assert rc == 2
+    records = [json.loads(line) for line in _read(str(out / "report.jsonl")).splitlines()]
+    rows = _read(str(out / "censuses.csv")).splitlines()[1:]
+    assert any(rec["status"] == "population_cap_exceeded" for rec in records)
+    assert len(rows) == sum(len(rec["alive"]) for rec in records) < 4 * len(records)
 
 
 def test_phase_command_grid_flags(tmp_path):

@@ -14,6 +14,7 @@ from bbma.engine import (
     spawn_rng_stream,
     _line_crossing_given_positive,
     _segment_escape_bounds,
+    truncated_martingale,
     truncation_flags_for,
     window_escape_bounds,
 )
@@ -30,13 +31,10 @@ def params(c=1.0, r=0.6, offspring=DYADIC):
     return ModelParams(c=c, r=r, offspring=offspring)
 
 
-def busy_replicate(seed=0, M=3.0, **kw):
-    """A supercritical run with enough branching to exercise everything."""
+def busy_replicate(seed=0, **kw):
+    """A supercritical run from x0 = 1 with enough branching to exercise everything."""
     p = params(r=1.5)
-    return run_replicate(p, 1.0, 4.0, [0.0, 1.0, 2.0, 3.0, 4.0], M,
-                         spawn_rng_stream(seed, 0),
-                         interval_sets=(IntervalSet.parse("0,1"),
-                                        IntervalSet.parse("1,inf")), **kw), p
+    return run_replicate(p, 1.0, 4.0, [0.0, 1.0, 2.0, 3.0, 4.0], spawn_rng_stream(seed, 0), **kw), p
 
 
 # -- rng streams -------------------------------------------------------------
@@ -61,14 +59,15 @@ def test_replicate_bit_identical_reruns():
     assert res1.n_events == res2.n_events
     for c1, c2 in zip(res1.censuses, res2.censuses):
         np.testing.assert_array_equal(c1.alive_positions, c2.alive_positions)
-        np.testing.assert_array_equal(c1.truncated_flags, c2.truncated_flags)
+    for f1, f2 in zip(truncation_flags_for(res1.censuses, 3.0), truncation_flags_for(res2.censuses, 3.0)):
+        np.testing.assert_array_equal(f1, f2)
     np.testing.assert_array_equal(res1.trace.d, res2.trace.d)
 
 
-# busy_replicate's n_events, counters and float.hex of each census D and,
-# with the window M = 1.2, D_trunc at three seeds (seed 0 goes extinct).  Any
-# change to the draw order, the cohort bookkeeping or the window flags moves
-# them; the window changes no draw, so D is the same at every M.
+# busy_replicate's n_events, counters and float.hex of each census D and of
+# truncated_martingale at the window M = 1.2, at three seeds (seed 0 goes
+# extinct).  Any change to the draw order, the cohort bookkeeping or the
+# window flags moves them.
 PINNED_STREAMS = {
     0: (34, {"created": 29, "absorbed": 15, "died_childless": 0, "branched": 14, "alive_final": 0},
         ["0x1.0000000000000p+0", "0x1.2e3081f3b0d84p-1", "0x1.ea8fb76388eaep-3", "0x0.0p+0", "0x0.0p+0"],
@@ -88,9 +87,9 @@ PINNED_STREAMS = {
 
 @pytest.mark.parametrize("seed", sorted(PINNED_STREAMS))
 def test_replicate_stream_pinned(seed):
-    res, _ = busy_replicate(seed=seed, M=1.2)
+    res, p = busy_replicate(seed=seed)
     d_hex = [float.hex(float(d)) for d in res.trace.d]
-    d_trunc_hex = [float.hex(float(d)) for d in res.trace.d_trunc]
+    d_trunc_hex = [float.hex(float(d)) for d in truncated_martingale(res.censuses, p, 1.0, 1.2)]
     assert (res.n_events, res.counters, d_hex, d_trunc_hex) == PINNED_STREAMS[seed]
 
 
@@ -98,7 +97,7 @@ def test_replicates_independent_of_execution_order():
     p = params(r=1.2)
 
     def job(i):
-        res = run_replicate(p, 1.0, 2.0, [1.0, 2.0], None, spawn_rng_stream(3, i))
+        res = run_replicate(p, 1.0, 2.0, [1.0, 2.0], spawn_rng_stream(3, i))
         return res.trace.n_alive[-1], res.trace.d[-1]
 
     seq = [job(i) for i in range(16)]
@@ -119,15 +118,15 @@ def test_initial_census_is_the_starting_particle():
 
 
 def test_census_invariants():
-    res, _ = busy_replicate()
+    res, p = busy_replicate()
     assert res.status == "ok"
     tr = res.trace
+    flags = truncation_flags_for(res.censuses, 3.0)
     for j, cen in enumerate(res.censuses):
         assert np.all(cen.alive_positions > 0)
-        assert cen.truncated_flags.shape == cen.alive_positions.shape
-        assert cen.extinct == (cen.alive_positions.size == 0)
+        assert flags[j].shape == cen.alive_positions.shape
         assert tr.times[j] == cen.time and tr.n_alive[j] == cen.alive_positions.size
-    assert np.all(tr.d_trunc <= tr.d + 1e-15)
+    assert np.all(truncated_martingale(res.censuses, p, 1.0, 3.0) <= tr.d + 1e-15)
     assert np.all(tr.d >= 0)
 
 
@@ -144,12 +143,13 @@ def test_hereditary_truncation_flags():
     # some descendants of escaped ancestors must come back inside the window.
     returned = 0
     for seed in range(5):
-        res, _ = busy_replicate(seed=seed, M=1.2)
-        for prev, cur in zip(res.censuses[1:], res.censuses[2:]):
+        res, _ = busy_replicate(seed=seed)
+        flags = truncation_flags_for(res.censuses, 1.2)
+        for prev, cur, f in zip(flags[1:], res.censuses[2:], flags[2:]):
             if cur.alive_positions.size == 0:
                 continue
-            anc_ok = prev.truncated_flags[cur.ancestor_index]
-            assert np.all(~cur.truncated_flags | anc_ok)
+            anc_ok = prev[cur.ancestor_index]
+            assert np.all(~f | anc_ok)
             own_ok = truncation_flags_for([cur], 1.2)[0]
             returned += int((~anc_ok & own_ok).sum())
     assert returned > 0
@@ -159,11 +159,11 @@ def test_grid_validation():
     p = params()
     rng = spawn_rng_stream(0, 0)
     with pytest.raises(ValueError):
-        run_replicate(p, 1.0, 2.0, [2.0, 1.0], None, rng)          # unsorted
+        run_replicate(p, 1.0, 2.0, [2.0, 1.0], rng)                # unsorted
     with pytest.raises(ValueError):
-        run_replicate(p, 1.0, 2.0, [1.0, 5.0], None, rng)          # beyond horizon
+        run_replicate(p, 1.0, 2.0, [1.0, 5.0], rng)                # beyond horizon
     with pytest.raises(ValueError):
-        run_replicate(p, -1.0, 2.0, [1.0], None, rng)              # bad start
+        run_replicate(p, -1.0, 2.0, [1.0], rng)                    # bad start
     # NaN and infinite inputs: each check is written so that NaN fails it
     for x0, horizon, grid in [
         (1.0, math.nan, []), (1.0, math.nan, [1.0]),
@@ -171,14 +171,14 @@ def test_grid_validation():
         (1.0, math.inf, [1.0]), (math.inf, 2.0, [1.0]), (math.nan, 2.0, [1.0]),
     ]:
         with pytest.raises(ValueError):
-            run_replicate(p, x0, horizon, grid, None, rng)
+            run_replicate(p, x0, horizon, grid, rng)
     with pytest.raises(ValueError):
-        run_replicate(p, 1.0, 2.0, [1.0], None, None)              # rng required
+        run_replicate(p, 1.0, 2.0, [1.0], None)                    # rng required
 
 
 def test_population_cap_aborts_with_status():
     p = params(r=3.0)
-    res = run_replicate(p, 2.0, 8.0, [8.0], None, spawn_rng_stream(1, 0),
+    res = run_replicate(p, 2.0, 8.0, [8.0], spawn_rng_stream(1, 0),
                         population_cap=500)
     assert res.status == "population_cap_exceeded"
     assert res.n_events <= 500                   # aborts before exceeding
@@ -204,7 +204,7 @@ def test_accounting_identity_every_status(status, grid):
     p, x0, kw = IDENTITY_RUNS[status]
     seen = 0
     for i in range(40):
-        res = run_replicate(p, x0, 4.0, grid, None, spawn_rng_stream(113, i),
+        res = run_replicate(p, x0, 4.0, grid, spawn_rng_stream(113, i),
                             checkpoint_chains=False, **kw)
         k = res.counters
         assert k["created"] == (k["alive_final"] + k["absorbed"]
@@ -212,7 +212,7 @@ def test_accounting_identity_every_status(status, grid):
         seen += res.status == status
         if res.status == "ok":
             # The same draws with a census at the horizon count the same particles.
-            full = run_replicate(p, x0, 4.0, sorted({*grid, 4.0}), None, spawn_rng_stream(113, i),
+            full = run_replicate(p, x0, 4.0, sorted({*grid, 4.0}), spawn_rng_stream(113, i),
                                  checkpoint_chains=False, **kw)
             assert k["alive_final"] == full.trace.n_alive[-1], i
         elif res.status == "population_cap_exceeded":
@@ -244,13 +244,13 @@ def test_certified_stream_is_prefix_of_unstopped(monkeypatch):
     p = params(r=1.5)
     for i in range(50):
         calls.clear()
-        res = run_replicate(p, 1.0, 8.0, [4.0, 8.0], None, spawn_rng_stream(61, i),
+        res = run_replicate(p, 1.0, 8.0, [4.0, 8.0], spawn_rng_stream(61, i),
                             certify_survival=True)
         if res.status == "certified_survival":
             break
     stopped = list(calls)
     calls.clear()
-    full = run_replicate(p, 1.0, 8.0, [4.0, 8.0], None, spawn_rng_stream(61, i))
+    full = run_replicate(p, 1.0, 8.0, [4.0, 8.0], spawn_rng_stream(61, i))
     assert full.status == "ok" and 0 < len(stopped) < len(calls)
     for (pos_a, dt_a), (pos_b, dt_b) in zip(stopped, calls):
         np.testing.assert_array_equal(pos_a, pos_b)
@@ -263,7 +263,7 @@ def test_certified_replicates_survive_the_horizon(law, x0, horizon):
     p = params(r=1.5, offspring=law)
     certified = 0
     for i in range(200):
-        res = run_replicate(p, x0, horizon, [horizon / 2, horizon], None, spawn_rng_stream(67, i),
+        res = run_replicate(p, x0, horizon, [horizon / 2, horizon], spawn_rng_stream(67, i),
                             checkpoint_chains=False, certify_survival=True)
         k = res.counters
         assert k["created"] == k["alive_final"] + k["absorbed"] + k["died_childless"] + k["branched"]
@@ -272,7 +272,7 @@ def test_certified_replicates_survive_the_horizon(law, x0, horizon):
             continue
         certified += 1
         assert 0.0 <= res.extinction_bound < CERTIFY_EPS
-        full = run_replicate(p, x0, horizon, [horizon / 2, horizon], None, spawn_rng_stream(67, i),
+        full = run_replicate(p, x0, horizon, [horizon / 2, horizon], spawn_rng_stream(67, i),
                              checkpoint_chains=False)
         assert full.status == "ok" and full.trace.n_alive[-1] > 0, i
     assert certified >= 30
@@ -282,7 +282,7 @@ def test_certified_replicates_survive_the_horizon(law, x0, horizon):
 def test_certify_never_stops_subcritical(r):
     p = params(r=r)
     for i in range(200):
-        args = (p, 1.0, 20.0, [10.0, 20.0], None)
+        args = (p, 1.0, 20.0, [10.0, 20.0])
         res = run_replicate(*args, spawn_rng_stream(71, i), certify_survival=True)
         ref = run_replicate(*args, spawn_rng_stream(71, i))
         assert res.status == ref.status == "ok" and res.extinction_bound is None
@@ -294,11 +294,11 @@ def test_certify_check_runs_before_cap_check():
     # q(40) is far below CERTIFY_EPS: certified before the first phase, so a
     # cap of zero events never fires; without the stop it does.
     p = params(r=1.5)
-    res = run_replicate(p, 40.0, 5.0, [5.0], None, spawn_rng_stream(0, 0),
+    res = run_replicate(p, 40.0, 5.0, [5.0], spawn_rng_stream(0, 0),
                         population_cap=0, certify_survival=True)
     assert res.status == "certified_survival" and res.n_events == 0
     assert res.counters["alive_final"] == 1
-    res = run_replicate(p, 40.0, 5.0, [5.0], None, spawn_rng_stream(0, 0), population_cap=0)
+    res = run_replicate(p, 40.0, 5.0, [5.0], spawn_rng_stream(0, 0), population_cap=0)
     assert res.status == "population_cap_exceeded"
 
 
@@ -310,8 +310,8 @@ def test_subcritical_extinction():
     p = params(r=0.3)
     extinct = 0
     for i in range(1000):
-        res = run_replicate(p, 1.0, 200.0, [200.0], None, spawn_rng_stream(17, i))
-        extinct += int(res.censuses[-1].extinct)
+        res = run_replicate(p, 1.0, 200.0, [200.0], spawn_rng_stream(17, i))
+        extinct += int(res.censuses[-1].alive_positions.size == 0)
     assert extinct >= 999
 
 
@@ -324,7 +324,7 @@ def test_delta1_reduces_to_single_particle_motion():
     sp = survival_probability(1.0, t, p)
     alive = 0
     for i in range(n):
-        res = run_replicate(p, 1.0, t, [t], None, spawn_rng_stream(29, i))
+        res = run_replicate(p, 1.0, t, [t], spawn_rng_stream(29, i))
         n_final = res.trace.n_alive[-1]
         assert n_final in (0, 1)
         alive += int(n_final)
@@ -339,7 +339,7 @@ def test_many_to_one_first_moment(t):
     n = 10**4
     counts = np.empty(n)
     for i in range(n):
-        res = run_replicate(p, 1.0, t, [t], None, spawn_rng_stream(41, i))
+        res = run_replicate(p, 1.0, t, [t], spawn_rng_stream(41, i))
         counts[i] = res.trace.n_alive[-1]
     target = expected_count(1.0, t, AXIS, p)
     se = counts.std(ddof=1) / math.sqrt(n)
@@ -352,7 +352,7 @@ def test_martingale_mean_one():
     n = 10**4
     d = np.empty(n)
     for i in range(n):
-        res = run_replicate(p, 1.0, 3.0, [3.0], None, spawn_rng_stream(53, i))
+        res = run_replicate(p, 1.0, 3.0, [3.0], spawn_rng_stream(53, i))
         d[i] = res.trace.d[-1]
     se = d.std(ddof=1) / math.sqrt(n)
     assert abs(d.mean() - 1.0) < 3 * se, (d.mean(), se)
@@ -364,7 +364,7 @@ def test_martingale_paired_increment():
     n = 10**4
     inc = np.empty(n)
     for i in range(n):
-        res = run_replicate(p, 1.0, 2.0, [1.0, 2.0], None, spawn_rng_stream(61, i))
+        res = run_replicate(p, 1.0, 2.0, [1.0, 2.0], spawn_rng_stream(61, i))
         inc[i] = res.trace.d[-1] - res.trace.d[-2]
     se = inc.std(ddof=1) / math.sqrt(n)
     assert abs(inc.mean()) < 3 * se, (inc.mean(), se)
@@ -373,7 +373,7 @@ def test_martingale_paired_increment():
 def test_event_recorder_collects_waits_and_offspring():
     rec = EventRecorder()
     p = params(r=1.5)
-    res = run_replicate(p, 1.0, 4.0, [4.0], None, spawn_rng_stream(71, 0),
+    res = run_replicate(p, 1.0, 4.0, [4.0], spawn_rng_stream(71, 0),
                         event_recorder=rec)
     waits, offs, times = rec.waits(), rec.offspring(), rec.times()
     assert rec.n_events == waits.size == offs.size == times.size
@@ -389,69 +389,30 @@ def test_event_recorder_collects_waits_and_offspring():
 
 def test_count_additivity_and_axis():
     B1, B2 = IntervalSet.parse("0,1"), IntervalSet.parse("1,inf")
-    res = run_replicate(params(r=1.5), 1.0, 4.0, [0.0, 1.0, 2.0, 3.0, 4.0], 3.0,
-                        spawn_rng_stream(2, 0), interval_sets=(B1, B2, B1.union(B2), AXIS))
-    sc, n = res.trace.set_counts, res.trace.n_alive
+    res = run_replicate(params(r=1.5), 1.0, 4.0, [0.0, 1.0, 2.0, 3.0, 4.0], spawn_rng_stream(2, 0))
+    sets = (B1, B2, IntervalSet(B1.intervals + B2.intervals), AXIS)
+    sc = np.array([[B.indicator(cen.alive_positions).sum() for B in sets] for cen in res.censuses])
+    n = res.trace.n_alive
     assert n[-1] > 0
     np.testing.assert_array_equal(sc[:, 3], n)
     np.testing.assert_array_equal(sc[:, 0] + sc[:, 1], n)
     np.testing.assert_array_equal(sc[:, 2], n)
 
 
-def test_trace_set_counts_match_reductions():
-    res, _ = busy_replicate()
-    sets = res.trace.interval_sets
-    for j, cen in enumerate(res.censuses):
-        for k, B in enumerate(sets):
-            assert res.trace.set_counts[j, k] == int(np.count_nonzero(B.indicator(cen.alive_positions)))
-
-
 def test_vacuous_truncation_window():
-    res, _ = busy_replicate(seed=2, M=math.inf)
-    for cen in res.censuses:
-        assert np.all(cen.truncated_flags)
-    np.testing.assert_allclose(res.trace.d_trunc, res.trace.d, rtol=1e-15, atol=0)
+    res, p = busy_replicate(seed=2)
+    for f in truncation_flags_for(res.censuses, math.inf):
+        assert np.all(f)
+    np.testing.assert_allclose(truncated_martingale(res.censuses, p, 1.0, math.inf), res.trace.d,
+                               rtol=1e-15, atol=0)
 
 
 def test_empty_census_martingale():
     p = params(r=0.3)
-    res = run_replicate(p, 0.2, 50.0, [50.0], None, spawn_rng_stream(83, 0))
-    assert res.censuses[-1].extinct
-    assert res.trace.d[-1] == 0.0 and res.trace.d_trunc[-1] == 0.0
+    res = run_replicate(p, 0.2, 50.0, [50.0], spawn_rng_stream(83, 0))
+    assert res.censuses[-1].alive_positions.size == 0
+    assert res.trace.d[-1] == 0.0 and truncated_martingale(res.censuses, p, 0.2, 2.0)[-1] == 0.0
     assert res.trace.n_alive[-1] == 0
-
-
-def test_shifted_truncation_s0_equals_runtime_flags():
-    """Post-hoc window recomputation at s=0 must reproduce the run-time flags
-    bit for bit, for every census and several M: a census grid from 0 or
-    first census after 0, p0 > 0 offspring, a cap-aborted run, and the
-    run-time flags of a run without checkpoint chains (recomputed from a
-    run with them at the same seed)."""
-    busy = params(r=1.5)
-    p0 = params(c=0.8, r=1.4, offspring=OffspringLaw.from_pmf({0: 0.2, 1: 0.1, 2: 0.4, 3: 0.3}))
-    cases = [  # params, x0, horizon, census grid, keywords
-        (busy, 1.0, 4.0, [0.0, 1.0, 2.0, 3.0, 4.0], {}),
-        (busy, 1.0, 4.0, [0.7, 2.0, 4.0], {}),
-        (p0, 0.9, 3.0, [0.0, 1.0, 3.0], {}),
-        (params(r=3.0), 2.0, 8.0, [1.0, 2.0, 8.0], {"population_cap": 500}),
-        (busy, 1.0, 4.0, [0.0, 1.0, 2.0, 3.0, 4.0], {"checkpoint_chains": False}),
-    ]
-    statuses, escaped = set(), 0
-    for p, x0, horizon, grid, kw in cases:
-        for seed in range(5):
-            def run(M, **extra):
-                return run_replicate(p, x0, horizon, grid, M, spawn_rng_stream(seed, 0),
-                                     **{**kw, **extra})
-            res = run(2.5, checkpoint_chains=True)
-            statuses.add(res.status)
-            for M in (1.2, 1.5, 2.05, 2.5, 4.0):
-                flags = truncation_flags_for(res.censuses, M, s=0.0)
-                res_m = run(M)
-                assert len(flags) == len(res_m.censuses)
-                for f, cen in zip(flags, res_m.censuses):
-                    np.testing.assert_array_equal(f, cen.truncated_flags)
-                    escaped += int((~f).sum())
-    assert "population_cap_exceeded" in statuses and escaped > 0
 
 
 def _in_window(censuses, M, s):
@@ -461,18 +422,16 @@ def _in_window(censuses, M, s):
 
 
 def test_shifted_truncated_count_monotone_in_M():
-    res, _ = busy_replicate(seed=9, M=3.0)
+    res, p = busy_replicate(seed=9)
     counts = [_in_window(res.censuses, M, 0.0) for M in (1.5, 2.0, 3.0, 6.0)]
     assert counts == sorted(counts)
     assert counts[-1] <= res.trace.n_alive[-1]
-    # the run's own window is M = 3
-    assert counts[2] == int(res.censuses[-1].truncated_flags.sum())
-    assert (counts[2] > 0) == (res.trace.d_trunc[-1] > 0)
+    assert (counts[2] > 0) == (truncated_martingale(res.censuses, p, 1.0, 3.0)[-1] > 0)
 
 
 def test_shifted_window_reduces_alive_set():
     # s > 0 widens every window (larger intercept), so counts only grow.
-    res, _ = busy_replicate(seed=4, M=3.0)
+    res, _ = busy_replicate(seed=4)
     c0 = _in_window(res.censuses, 3.0, 0.0)
     c_shift = _in_window(res.censuses, 3.0, 5.0)
     assert c0 <= c_shift <= res.trace.n_alive[-1]
@@ -482,24 +441,21 @@ def test_shifted_window_reduces_alive_set():
 @settings(max_examples=25, deadline=None)
 def test_accounting_identity_property(seed):
     p = params(r=1.2)
-    res = run_replicate(p, 0.8, 2.0, [1.0, 2.0], 4.0, spawn_rng_stream(97, seed))
+    res = run_replicate(p, 0.8, 2.0, [1.0, 2.0], spawn_rng_stream(97, seed))
     k = res.counters
     assert k["created"] == (k["alive_final"] + k["absorbed"]
                             + k["died_childless"] + k["branched"])
-    assert res.trace.d_trunc[-1] <= res.trace.d[-1] + 1e-15
+    assert truncated_martingale(res.censuses, p, 0.8, 4.0)[-1] <= res.trace.d[-1] + 1e-15
 
 
 def test_checkpoint_chains_off_same_statistics():
     # the checkpoint trees are pure bookkeeping: same rng draws, same
-    # censuses, same flags
-    res_on, p = busy_replicate(seed=12, M=2.5)
-    res_off, _ = busy_replicate(seed=12, M=2.5, checkpoint_chains=False)
+    # censuses
+    res_on, p = busy_replicate(seed=12)
+    res_off, _ = busy_replicate(seed=12, checkpoint_chains=False)
     assert np.array_equal(res_on.trace.d, res_off.trace.d)
-    assert np.array_equal(res_on.trace.d_trunc, res_off.trace.d_trunc)
-    assert np.array_equal(res_on.trace.set_counts, res_off.trace.set_counts)
     for a, b in zip(res_on.censuses, res_off.censuses):
         assert np.array_equal(a.alive_positions, b.alive_positions)
-        assert np.array_equal(a.truncated_flags, b.truncated_flags)
         assert all(v is None for v in (b.chk_slot, b.chk_time, b.chk_pos, b.chk_prev, b.chk_block))
     # every recomputation, s = 0 included, reads the trees
     with pytest.raises(ValueError, match="checkpoint chains"):
@@ -507,11 +463,44 @@ def test_checkpoint_chains_off_same_statistics():
 
 
 def test_checkpoint_chains_required_for_shifted_window():
-    res_off, _ = busy_replicate(seed=12, M=2.5, checkpoint_chains=False)
+    res_off, _ = busy_replicate(seed=12, checkpoint_chains=False)
     with pytest.raises(ValueError, match="checkpoint chains"):
         truncation_flags_for(res_off.censuses, 2.5, s=1.0)
     with pytest.raises(ValueError, match="checkpoint chains"):
         window_escape_bounds(res_off.censuses, 2.5)
+
+
+# (params, x0, census grid on [0, 4], keywords) per status; p0 > 0 and a
+# first census after 0 in the first, a census at 0 in the other two
+DM_RUNS = {
+    "ok": (params(c=0.8, r=1.4, offspring=OffspringLaw.from_pmf({0: 0.2, 1: 0.1, 2: 0.4, 3: 0.3})),
+           0.9, [0.7, 2.0, 4.0], {}),
+    "population_cap_exceeded": (params(r=3.0), 2.0, [0.0, 1.0, 2.0, 4.0], {"population_cap": 500}),
+    "certified_survival": (params(r=2.0), 0.5, [0.0, 1.0, 2.0, 4.0], {"certify_survival": True}),
+}
+
+
+@pytest.mark.parametrize("status", sorted(DM_RUNS))
+def test_truncated_martingale_property(status):
+    p, x0, grid, kw = DM_RUNS[status]
+    reached = 0
+    for seed in range(40):
+        res = run_replicate(p, x0, 4.0, grid, spawn_rng_stream(seed, 0), **kw)
+        reached += res.status == status and len(res.censuses) >= 2
+        d = res.trace.d
+        prev = np.zeros(len(res.censuses))
+        for M in (0.3, 1.0, 1.5, 2.5, 4.0):
+            dm = truncated_martingale(res.censuses, p, x0, M)
+            assert dm.shape == (len(res.censuses),) == d.shape
+            assert np.all((0.0 <= dm) & (dm <= d)) and np.all(prev <= dm), (seed, M)
+            prev = dm
+        np.testing.assert_array_equal(truncated_martingale(res.censuses, p, x0, math.inf), d)
+        off = run_replicate(p, x0, 4.0, grid, spawn_rng_stream(seed, 0), checkpoint_chains=False, **kw)
+        assert off.status == res.status and np.array_equal(off.trace.d, d)
+        if off.censuses:
+            with pytest.raises(ValueError, match="checkpoint chains"):
+                truncated_martingale(off.censuses, p, x0, 2.0)
+    assert reached > 0
 
 
 # -- path-continuous window escape -------------------------------------------
@@ -589,7 +578,7 @@ def test_segment_escape_bounds_limits():
 def test_window_escape_bounds_on_busy_replicates():
     Ms = (1.5, 2.5, 4.0)
     for seed in range(5):
-        res, _ = busy_replicate(seed=seed, M=2.5)
+        res, _ = busy_replicate(seed=seed)
         per_M = [window_escape_bounds(res.censuses, M) for M in Ms]
         for M, bounds in zip(Ms, per_M):
             flags = truncation_flags_for(res.censuses, M)
@@ -628,7 +617,7 @@ TREE_CASES = {
 
 def _tree_case(name, seed):
     p, x0, horizon, grid, kw = TREE_CASES[name]
-    return run_replicate(p, x0, horizon, grid, None, spawn_rng_stream(seed, 0), **kw), x0
+    return run_replicate(p, x0, horizon, grid, spawn_rng_stream(seed, 0), **kw), x0
 
 
 def _walk_paths(censuses, x0, M, s):

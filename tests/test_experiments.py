@@ -235,7 +235,7 @@ def test_truncation_bracket_dominates_checkpoint_only_gaps(truncation_report):
     ec = expected_count(0.5, 4.0, IntervalSet.positive_axis(), REF)
     scale = math.exp(-REF.growth_exponent * 4.0) / ground_state_h(0.5, REF)
     for rec in rep.replicate_records:
-        res = run_replicate(REF, 0.5, 4.0, [4.0], None, spawn_rng_stream(43, rec["replicate"]))
+        res = run_replicate(REF, 0.5, 4.0, [4.0], spawn_rng_stream(43, rec["replicate"]))
         hvals = ground_state_h(res.censuses[-1].alive_positions, REF)
         d = res.trace.d[-1]
         for j, M in enumerate(M_list):
@@ -334,10 +334,10 @@ def test_phase_cells_reach_engine_through_module_name_on_shifted_streams(monkeyp
     # tracing and the cap test rebind.
     calls = []
 
-    def recording(params, x0, horizon, grid, trunc_M, rng, **kw):
+    def recording(params, x0, horizon, grid, rng, **kw):
         key = rng.bit_generator.state["state"]["key"].copy()
-        res = run_replicate(params, x0, horizon, grid, trunc_M, rng, **kw)
-        calls.append((params, x0, horizon, grid, trunc_M, kw, key, res))
+        res = run_replicate(params, x0, horizon, grid, rng, **kw)
+        calls.append((params, x0, horizon, grid, kw, key, res))
         return res
 
     monkeypatch.setattr(experiments, "run_replicate", recording)
@@ -345,12 +345,12 @@ def test_phase_cells_reach_engine_through_module_name_on_shifted_streams(monkeyp
     rep = experiment_phase_diagram([1.0, 1.2], [1.5], OffspringLaw.dyadic(), 1.0, 8.0, n, seed)
     assert [cell["n"] for cell in rep.aggregates["cells"]] == [n, n]
     assert len(calls) == 2 * n
-    for m, (params, x0, horizon, grid, trunc_M, kw, key, res) in enumerate(calls):
+    for m, (params, x0, horizon, grid, kw, key, res) in enumerate(calls):
         k, j = divmod(m, n)
         assert params.c == [1.0, 1.2][k]
         stream = spawn_rng_stream(seed, k * n + j)
         assert np.array_equal(key, stream.bit_generator.state["state"]["key"])
-        direct = run_replicate(params, x0, horizon, grid, trunc_M, stream, **kw)
+        direct = run_replicate(params, x0, horizon, grid, stream, **kw)
         assert (res.status, res.n_events) == (direct.status, direct.n_events)
         assert np.array_equal(res.trace.d, direct.trace.d)
         assert np.array_equal(res.trace.n_alive, direct.trace.n_alive)
@@ -361,6 +361,59 @@ def test_phase_diagram_rejects_empty_grid(c_grid, r_grid):
     # zero cells would "pass" with nothing tested
     with pytest.raises(ValueError, match="non-empty"):
         experiment_phase_diagram(c_grid, r_grid, OffspringLaw.dyadic(), 1.0, 10.0, 10, 5)
+
+
+# ---------------------------------------------------------------------------
+# the replicate loop every experiment shares
+# ---------------------------------------------------------------------------
+
+# Each experiment on REF, n = 12, seed 3, with how many replicates each
+# aggregate counts: a cap of 100 particle-steps stops some replicates and
+# not others.
+CAPPED = {
+    "kesten": (lambda n: experiment_kesten(REF, 1.0, ["1,inf"], 4.0, n, 3),
+               lambda rep: rep.aggregates["per_census"][0]["surviving_fraction"]["n"]),
+    "qsd": (lambda n: experiment_empirical_qsd(REF, 1.0, 4.0, n, 3),
+            lambda rep: rep.aggregates["per_census"][0]["surviving_fraction"]["n"]),
+    "martingale": (lambda n: experiment_martingale(REF, 1.0, [1.0, 2.0, 4.0], [1.0, 2.0], n, 3),
+                   lambda rep: rep.aggregates["mean_D"]["1"]["n"]),
+    "truncation": (lambda n: experiment_truncation(REF, 1.0, 4.0, [1.5, 2.0, 3.0], n, 3),
+                   lambda rep: rep.aggregates["mean_gap_D"][0]["n"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED))
+def test_cap_abort_is_undecided_and_left_out(monkeypatch, name):
+    # A replicate stopped at the cap has fewer censuses; it used to crash the
+    # per-census arrays (or, in the truncation sweep, have no census at all).
+    monkeypatch.setattr(experiments, "run_replicate",
+                        functools.partial(run_replicate, population_cap=100))
+    run, decided = CAPPED[name]
+    rep = run(12)
+    capped = sum(rec["status"] == "population_cap_exceeded" for rec in rep.replicate_records)
+    assert len(rep.replicate_records) == 12 and 0 < capped < 12
+    assert rep.aggregates["undecided"] == capped and decided(rep) == 12 - capped
+    assert f"{capped} replicates hit the population cap without a verdict" in rep.aggregates["message"]
+    assert not rep.passed
+
+
+EMPTY = {
+    "kesten": lambda: experiment_kesten(REF, 1.0, ["1,inf"], 4.0, 0, 3),
+    "qsd": lambda: experiment_empirical_qsd(REF, 1.0, 4.0, 0, 3),
+    "martingale": lambda: experiment_martingale(REF, 1.0, [1.0, 2.0], [1.0], 0, 3),
+    "truncation": lambda: experiment_truncation(REF, 1.0, 4.0, [1.5, 2.0, 3.0], 0, 3),
+    "phase": lambda: experiment_phase_diagram([1.0], [0.3, 1.5], OffspringLaw.dyadic(), 1.0, 4.0, 0, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY))
+def test_zero_replicates_refused_before_any_run(monkeypatch, name):
+    def no_run(*args, **kw):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(experiments, "run_replicate", no_run)
+    with pytest.raises(ValueError, match="at least one replicate, got n = 0"):
+        EMPTY[name]()
 
 
 # ---------------------------------------------------------------------------

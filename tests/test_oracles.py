@@ -128,9 +128,8 @@ def test_engine_first_moment_on_interval_sets():
     n = 4000
     counts = np.empty((n, 4))
     for i in range(n):
-        res = run_replicate(p, 1.0, 2.0, [2.0], None, spawn_rng_stream(103, i),
-                            interval_sets=sets)
-        counts[i] = res.trace.set_counts[-1]
+        res = run_replicate(p, 1.0, 2.0, [2.0], spawn_rng_stream(103, i), checkpoint_chains=False)
+        counts[i] = [B.indicator(res.censuses[-1].alive_positions).sum() for B in sets]
     for k, B in enumerate(sets):
         target = expected_count(1.0, 2.0, B, p)
         se = counts[:, k].std(ddof=1) / math.sqrt(n)
@@ -255,7 +254,7 @@ def test_second_moment_vs_engine():
     n = 20_000
     sq = np.empty(n)
     for i in range(n):
-        res = run_replicate(p, 1.0, 1.0, [1.0], None, spawn_rng_stream(107, i))
+        res = run_replicate(p, 1.0, 1.0, [1.0], spawn_rng_stream(107, i))
         sq[i] = float(res.trace.n_alive[-1]) ** 2
     se = sq.std(ddof=1) / math.sqrt(n)
     assert abs(sq.mean() - SECOND_MOMENT_REF) < 3 * se, (sq.mean(), se)
