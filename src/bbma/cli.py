@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .engine import run_replicate, spawn_rng_stream, truncated_martingale
+from .engine import run_replicate, set_counts, spawn_rng_stream, truncated_martingale
 from .experiments import (
     _mean_se,
     experiment_kesten,
@@ -303,23 +303,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
     crows: list[list] = []
     records: list[dict] = []
-    per_census: dict[float, dict] = {
-        t: {"alive": [], "D": [], "D_trunc": [], "absorbed": []} for t in grid
-    }
     for i in range(n):
         res = run_replicate(params, cfg.x0, cfg.horizon, grid, spawn_rng_stream(cfg.seed, i))
         tr = res.trace
         d_trunc = tr.d if cfg.truncation_M is None else truncated_martingale(
             res.censuses, params, cfg.x0, cfg.truncation_M)
-        counts = [[int(B.indicator(cen.alive_positions).sum()) for B in sets] for cen in res.censuses]
+        counts = set_counts(res.censuses, sets)
         for j, cen in enumerate(res.censuses):
             crows.append([i, cen.time, int(tr.n_alive[j]), cen.absorbed_count,
                           *counts[j], tr.d[j], d_trunc[j]])
-            acc = per_census[cen.time]
-            acc["alive"].append(int(tr.n_alive[j]))
-            acc["D"].append(tr.d[j])
-            acc["D_trunc"].append(d_trunc[j])
-            acc["absorbed"].append(cen.absorbed_count)
         records.append({
             "replicate": i, "status": res.status,
             "n_events": res.n_events, "counters": res.counters,
@@ -332,16 +324,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
     cheader = ["replicate", "time", "alive", "absorbed", *set_cols, "D", "D_trunc"]
     srows = []
     for t in grid:
-        acc = per_census[t]
-        alive = np.array(acc["alive"], dtype=float)
-        m = len(alive)
+        rows = [r for r in crows if r[1] == t]  # a cap abort has fewer censuses
+        m = len(rows)
+        alive = np.array([r[2] for r in rows], dtype=float)
         row = [t, m, float((alive > 0).mean()) if m else math.nan]
-        for stat in (_mean_se(alive), _mean_se(acc["D"])):
+        for stat in (_mean_se(alive), _mean_se([r[-2] for r in rows])):
             # the SE of a one-replicate run prints as nan, not inf
             row += [stat["value"], stat["stderr"] if m > 1 else math.nan]
         srows.append(row + [
-            float(np.mean(acc["D_trunc"])) if m else math.nan,
-            float(np.mean(acc["absorbed"])) if m else math.nan,
+            float(np.mean([r[-1] for r in rows])) if m else math.nan,
+            float(np.mean([r[3] for r in rows])) if m else math.nan,
         ])
     sheader = ["time", "n", "surviving_fraction", "mean_alive", "se_alive",
                "mean_D", "se_D", "mean_D_trunc", "mean_absorbed"]

@@ -15,10 +15,10 @@ it, appended in blocks whose rows have their parents in earlier blocks.
 Window checks and per-segment escape factors accumulate down that tree, one
 pass per block.  A run records only what the run alone can observe (D_t and
 |N_t| per census); window flags, the truncated martingale D^M and counts in
-a set are computed from the stored censuses for any window size (and any
-clock shift): as 0/1 flags judged at the checkpoints (truncation_flags_for,
-truncated_martingale), or as bracketed conditional probabilities of the
-path-continuous escape (window_escape_bounds).
+a set (set_counts) are computed from the stored censuses for any window
+size (and any clock shift): as 0/1 flags judged at the checkpoints
+(truncation_flags_for, truncated_martingale), or as bracketed conditional
+probabilities of the path-continuous escape (window_escape_bounds).
 """
 from __future__ import annotations
 
@@ -47,6 +47,7 @@ __all__ = [
     "run_replicate",
     "truncation_flags_for",
     "truncated_martingale",
+    "set_counts",
     "window_escape_bounds",
 ]
 
@@ -252,7 +253,7 @@ class _Run:
         self.co = co
 
         self.censuses: list[Census] = []
-        self.trace_rows: list[tuple] = []
+        self.trace_d: list[float] = []
 
     # -- one inter-census interval ----------------------------------------
 
@@ -376,7 +377,7 @@ class _Run:
             chk_time, chk_pos, chk_prev = (np.concatenate(col) for col in zip(*table))
             chk_block = np.cumsum([0, *(len(times) for times, _, _ in table)])
             chk_slot = chk_time.size - nslots + slots
-        census = Census(
+        self.censuses.append(Census(
             time=t_c,
             alive_positions=co.pos,
             absorbed_count=self.absorbed,
@@ -386,11 +387,9 @@ class _Run:
             chk_pos=chk_pos,
             chk_prev=chk_prev,
             chk_block=chk_block,
-        )
-        self.censuses.append(census)
+        ))
         decay = math.exp(-self.params.growth_exponent * t_c)
-        d = float(np.sum(ground_state_h(co.pos, self.params))) * decay / self.h_x0
-        self.trace_rows.append((t_c, d, nslots))
+        self.trace_d.append(float(np.sum(ground_state_h(co.pos, self.params))) * decay / self.h_x0)
 
         # Re-seed the cohort for the next interval.
         co.anc = slots
@@ -420,9 +419,9 @@ class _Run:
             t_now = t_end
 
         trace = MartingaleTrace(
-            times=np.array([row[0] for row in self.trace_rows]),
-            d=np.array([row[1] for row in self.trace_rows]),
-            n_alive=np.array([row[2] for row in self.trace_rows], np.int64),
+            times=np.array([cen.time for cen in self.censuses]),
+            d=np.array(self.trace_d),
+            n_alive=np.array([cen.alive_positions.size for cen in self.censuses], np.int64),
         )
         counters = {
             "created": self.created,
@@ -460,8 +459,8 @@ def run_replicate(
     previous census and, with checkpoint_chains, the interval's checkpoint
     tree, and the trace holds D_t and |N_t| per census.  Window flags, D^M
     (truncation_flags_for, truncated_martingale, window_escape_bounds) and
-    counts in a set (IntervalSet.indicator on alive_positions) are computed
-    from the censuses after the run.
+    counts in a set (set_counts) are computed from the censuses after the
+    run.
     A replicate that reaches the horizon has status "ok".  Exceeding
     population_cap cumulative particle-events aborts it with status
     "population_cap_exceeded" and partial censuses.  Whatever the status,
@@ -518,21 +517,26 @@ def truncation_flags_for(censuses: list[Census], M: float, s: float = 0.0) -> li
     return flags
 
 
-def truncated_martingale(censuses: list[Census], params: ModelParams, x0: float, M: float,
-                         s: float = 0.0) -> np.ndarray:
+def truncated_martingale(censuses: list[Census], params: ModelParams, x0: float,
+                         M: float) -> np.ndarray:
     """D^M at each census of a replicate started at x0: the additive
     martingale e^{-gt} sum h(x) / h(x0) over the particles that
-    truncation_flags_for(censuses, M, s) keeps, so 0 <= D^M <= D, with
+    truncation_flags_for(censuses, M) keeps, so 0 <= D^M <= D, with
     equality at M = inf.  Checkpoint-only, like those flags, so biased
     upward against the path-continuous window.  Needs checkpoint chains.
     """
     h_x0 = ground_state_h(float(x0), params)
-    flags = truncation_flags_for(censuses, M, s)
+    flags = truncation_flags_for(censuses, M)
     return np.array([
         float(np.sum(ground_state_h(cen.alive_positions, params), where=f))
         * math.exp(-params.growth_exponent * cen.time) / h_x0
         for cen, f in zip(censuses, flags)
     ])
+
+
+def set_counts(censuses: list[Census], sets) -> list[list[int]]:
+    """N_t(B) per census (rows) and IntervalSet B in sets (columns)."""
+    return [[int(B.indicator(cen.alive_positions).sum()) for B in sets] for cen in censuses]
 
 
 def _window_ok(time, pos, prev, block, slot, M: float, s: float) -> np.ndarray:

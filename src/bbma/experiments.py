@@ -25,6 +25,7 @@ from scipy.special import betainc
 from .engine import (
     EventRecorder,
     run_replicate,
+    set_counts,
     spawn_rng_stream,
     window_escape_bounds,
 )
@@ -240,8 +241,7 @@ def experiment_kesten(
             "alive": res.trace.n_alive.tolist(),
             "absorbed": [cen.absorbed_count for cen in res.censuses],
             "D": res.trace.d.tolist(),
-            "counts": [[int(B.indicator(cen.alive_positions).sum()) for B in B_list]
-                       for cen in res.censuses],
+            "counts": set_counts(res.censuses, B_list),
         })
     R = _decided(records, "counts", (len(grid), len(B_list))) / denom[:, None]
     D = _decided(records, "D", (len(grid),))

@@ -14,6 +14,7 @@ from bbma.engine import (
     spawn_rng_stream,
     _line_crossing_given_positive,
     _segment_escape_bounds,
+    set_counts,
     truncated_martingale,
     truncation_flags_for,
     window_escape_bounds,
@@ -391,7 +392,7 @@ def test_count_additivity_and_axis():
     B1, B2 = IntervalSet.parse("0,1"), IntervalSet.parse("1,inf")
     res = run_replicate(params(r=1.5), 1.0, 4.0, [0.0, 1.0, 2.0, 3.0, 4.0], spawn_rng_stream(2, 0))
     sets = (B1, B2, IntervalSet(B1.intervals + B2.intervals), AXIS)
-    sc = np.array([[B.indicator(cen.alive_positions).sum() for B in sets] for cen in res.censuses])
+    sc = np.array(set_counts(res.censuses, sets))
     n = res.trace.n_alive
     assert n[-1] > 0
     np.testing.assert_array_equal(sc[:, 3], n)
