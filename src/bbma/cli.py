@@ -305,20 +305,18 @@ def cmd_simulate(cfg: RunConfig) -> int:
     records: list[dict] = []
     for i in range(n):
         res = run_replicate(params, cfg.x0, cfg.horizon, grid, spawn_rng_stream(cfg.seed, i))
-        tr = res.trace
-        d_trunc = tr.d if cfg.truncation_M is None else truncated_martingale(
-            res.censuses, params, cfg.x0, cfg.truncation_M)
+        times, alive, d = res.trace.times.tolist(), res.trace.n_alive.tolist(), res.trace.d.tolist()
+        d_trunc = d if cfg.truncation_M is None else truncated_martingale(
+            res.censuses, params, cfg.x0, cfg.truncation_M).tolist()
         counts = set_counts(res.censuses, sets)
-        for j, cen in enumerate(res.censuses):
-            crows.append([i, cen.time, int(tr.n_alive[j]), cen.absorbed_count,
-                          *counts[j], tr.d[j], d_trunc[j]])
+        for t, a, cen, k, dj, dtj in zip(times, alive, res.censuses, counts, d, d_trunc):
+            crows.append([i, t, a, cen.absorbed_count, *k, dj, dtj])
         records.append({
             "replicate": i, "status": res.status,
             "n_events": res.n_events, "counters": res.counters,
-            "times": tr.times.tolist(), "alive": tr.n_alive.tolist(),
-            "D": tr.d.tolist(), "D_trunc": d_trunc.tolist(),
-            "counts": counts,
+            "times": times, "alive": alive, "D": d, "D_trunc": d_trunc, "counts": counts,
         })
+        del res  # free this replicate's censuses and checkpoint trees before the next runs
 
     set_cols = [f"count_B{k+1}" for k in range(len(sets))]
     cheader = ["replicate", "time", "alive", "absorbed", *set_cols, "D", "D_trunc"]

@@ -22,6 +22,8 @@ probabilities of the path-continuous escape (window_escape_bounds).
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +39,8 @@ TIE_EPS = 1e-15
 # of eventual extinction is below this.
 CERTIFY_EPS = 1e-12
 _LOG_CERTIFY_EPS = math.log(CERTIFY_EPS)
+# h(x0), the normaliser of D; the replicates of a run share it.
+_h_start = functools.lru_cache(maxsize=16)(ground_state_h)
 
 __all__ = [
     "Census",
@@ -63,6 +67,17 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Philox's 128-bit key (key, 0), as Philox(key=key) sets it, without the
+    OS-entropy SeedSequence that Philox(key=...) also builds and drops."""
+
+    def __init__(self, key: int) -> None:
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array([self.key, 0], dtype=np.uint64)
+
+
 def spawn_rng_stream(master_seed: int, replicate_index: int) -> np.random.Generator:
     """Independent counter-based stream for one replicate.
 
@@ -71,7 +86,7 @@ def spawn_rng_stream(master_seed: int, replicate_index: int) -> np.random.Genera
     order in which replicates are executed.
     """
     key = _mix64((int(master_seed) + _GAMMA * (int(replicate_index) + 1)) & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 @dataclass(frozen=True)
@@ -157,35 +172,25 @@ class EventRecorder:
         return np.concatenate(self._times) if self._times else np.empty(0)
 
 
-# The cohort's columns, one row per active particle.
-_COLUMNS = {
-    "pos": np.float64,     # position
-    "anc": np.int64,       # slot in the previous census, -1 before the first
-    "chain": np.int64,     # latest checkpoint row of this interval's tree;
-                           # read only with checkpoint chains
-}
-
-
 class _Cohort:
-    """Particles of one replicate as one array per column of _COLUMNS."""
+    """Particles of one replicate, one row per active particle."""
 
-    __slots__ = tuple(_COLUMNS)
+    __slots__ = ("pos", "anc", "chain")
 
-    def __init__(self, **cols: np.ndarray) -> None:
-        for name in _COLUMNS:
-            setattr(self, name, cols[name])
-
-    @classmethod
-    def zeros(cls, n: int = 0) -> "_Cohort":
-        """n particles with every column zero; the empty cohort by default."""
-        return cls(**{name: np.zeros(n, dtype) for name, dtype in _COLUMNS.items()})
+    def __init__(self, pos: np.ndarray, anc: np.ndarray, chain: np.ndarray) -> None:
+        self.pos = pos      # position, float64
+        self.anc = anc      # slot in the previous census, -1 before the first; int64
+        self.chain = chain  # latest checkpoint row of this interval's tree, int64;
+                            # read only with checkpoint chains
 
     @classmethod
     def concat(cls, parts: list["_Cohort"]) -> "_Cohort":
         """The rows of every part, in order."""
+        if len(parts) == 1:
+            return parts[0]
         if not parts:
-            return cls.zeros()
-        return cls(**{name: np.concatenate([getattr(c, name) for c in parts]) for name in _COLUMNS})
+            return cls(np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64))
+        return cls(*(np.concatenate(col) for col in zip(*((c.pos, c.anc, c.chain) for c in parts))))
 
     @property
     def size(self) -> int:
@@ -193,11 +198,7 @@ class _Cohort:
 
     def take(self, idx: np.ndarray) -> "_Cohort":
         """The rows idx (an index array or boolean mask)."""
-        return _Cohort(**{name: getattr(self, name)[idx] for name in _COLUMNS})
-
-    def repeat(self, counts: np.ndarray) -> "_Cohort":
-        """Row k repeated counts[k] times."""
-        return _Cohort(**{name: np.repeat(getattr(self, name), counts) for name in _COLUMNS})
+        return _Cohort(self.pos[idx], self.anc[idx], self.chain[idx])
 
 
 class _Run:
@@ -237,7 +238,7 @@ class _Run:
         if self.grid and not (self.grid[0] >= 0 and self.grid[-1] <= self.horizon + TIE_EPS):
             raise ValueError("census grid must lie within [0, horizon]")
 
-        self.h_x0 = ground_state_h(self.x0, params)
+        self.h_x0 = _h_start(self.x0, params)
         self.absorbed = 0
         self.created = 1
         self.branched = 0
@@ -246,11 +247,12 @@ class _Run:
         self.status = "ok"
         self.extinction_bound = None
 
+        # Child counts are drawn from (support, probs); a one-atom law fixes them.
+        law = params.offspring
+        self.law = (law.support, law.probs) if len(law.pmf) > 1 else None
+
         # The active cohort: the root particle, checked at time 0.
-        co = _Cohort.zeros(1)
-        co.pos[0] = self.x0
-        co.anc[0] = -1
-        self.co = co
+        self.co = _Cohort(np.array([self.x0]), np.array([-1], np.int64), np.zeros(1, np.int64))
 
         self.censuses: list[Census] = []
         self.trace_d: list[float] = []
@@ -277,9 +279,7 @@ class _Run:
         """
         p = self.params
         rng = self.rng
-        single_child = len(p.offspring.pmf) == 1
-        support = p.offspring.support
-        probs = p.offspring.probs
+        scale = 1.0 / p.r
 
         parked: list[_Cohort] = []
         co = self.co
@@ -310,51 +310,51 @@ class _Run:
                 return None
             self.n_events += n
 
-            E = rng.exponential(scale=1.0 / p.r, size=n)
+            E = rng.exponential(scale=scale, size=n)
             branch_first = E <= rem + TIE_EPS
             dt = np.minimum(E, rem)
             survived, co.pos = sample_killed_steps_batch(co.pos, dt, p, rng)
-            self.absorbed += int((~survived).sum())
-
-            if not survived.any():
+            n_survived = int(np.count_nonzero(survived))
+            self.absorbed += n - n_survived
+            if not n_survived:
                 break
-            sv = np.flatnonzero(survived)
 
-            park = sv[~branch_first[sv]]
-            if park.size:
-                parked.append(co.take(park))
-
-            br = sv[branch_first[sv]]
-            if br.size == 0:
+            br = (survived & branch_first).nonzero()[0]
+            if br.size < n_survived:
+                parked.append(co.take(survived & ~branch_first))
+            if not br.size:
                 break
-            if single_child:
-                m = np.full(br.size, int(support[0]), np.int64)
+            if self.law is None:
+                m = np.full(br.size, p.offspring.pmf[0][0], np.int64)
             else:
+                support, probs = self.law
                 m = rng.choice(support, size=br.size, p=probs)
             if self.recorder is not None:
                 self.recorder.record(E[br], m, (t_end - rem + dt)[br])
-            has_kids = m >= 1
-            self.branched += int(has_kids.sum())
-            self.died_childless += int((~has_kids).sum())
-            bi = br[has_kids]
-            if bi.size == 0:
+            n_parents = int(np.count_nonzero(m))
+            self.branched += n_parents
+            self.died_childless += br.size - n_parents
+            if not n_parents:
                 break
-            counts = m[has_kids].astype(np.int64)
-            total = int(counts.sum())
-            child_rem = np.repeat(rem[bi] - dt[bi], counts)
-            kids = co.take(bi).repeat(counts)  # each child starts as a copy of its parent
-            self.created += total
+            if n_parents < br.size:
+                has_kids = m >= 1
+                br, m = br[has_kids], m[has_kids]
+            # Each child starts as a copy of its parent: one row per child.
+            rows = np.repeat(br, m)
+            self.created += rows.size
+            child_rem = (rem - dt)[rows]
+            kids = co.take(rows)
             if table is not None:
-                table.append(((t_end - rem + dt)[bi], co.pos[bi], co.chain[bi]))
-                kids.chain = np.repeat(ct_len + np.arange(bi.size, dtype=np.int64), counts)
-                ct_len += bi.size
+                table.append(((t_end - rem + dt)[br], co.pos[br], co.chain[br]))
+                kids.chain = np.repeat(ct_len + np.arange(br.size, dtype=np.int64), m)
+                ct_len += br.size
 
             at_boundary = child_rem <= 0.0
-            if at_boundary.any():
+            if np.count_nonzero(at_boundary):
                 parked.append(kids.take(at_boundary))
-            keep = ~at_boundary
-            co = kids.take(keep)
-            rem = child_rem[keep]
+                keep = ~at_boundary
+                kids, child_rem = kids.take(keep), child_rem[keep]
+            co, rem = kids, child_rem
 
         return _Cohort.concat(parked), table
 
@@ -375,7 +375,7 @@ class _Run:
         if table is not None:
             table.append((np.full(nslots, t_c), co.pos, co.chain))
             chk_time, chk_pos, chk_prev = (np.concatenate(col) for col in zip(*table))
-            chk_block = np.cumsum([0, *(len(times) for times, _, _ in table)])
+            chk_block = np.array([0, *itertools.accumulate(len(block[0]) for block in table)], np.int64)
             chk_slot = chk_time.size - nslots + slots
         self.censuses.append(Census(
             time=t_c,
@@ -389,7 +389,7 @@ class _Run:
             chk_block=chk_block,
         ))
         decay = math.exp(-self.params.growth_exponent * t_c)
-        self.trace_d.append(float(np.sum(ground_state_h(co.pos, self.params))) * decay / self.h_x0)
+        self.trace_d.append(float(ground_state_h(co.pos, self.params).sum()) * decay / self.h_x0)
 
         # Re-seed the cohort for the next interval.
         co.anc = slots
@@ -525,7 +525,7 @@ def truncated_martingale(censuses: list[Census], params: ModelParams, x0: float,
     equality at M = inf.  Checkpoint-only, like those flags, so biased
     upward against the path-continuous window.  Needs checkpoint chains.
     """
-    h_x0 = ground_state_h(float(x0), params)
+    h_x0 = _h_start(float(x0), params)
     flags = truncation_flags_for(censuses, M)
     return np.array([
         float(np.sum(ground_state_h(cen.alive_positions, params), where=f))

@@ -393,7 +393,9 @@ def experiment_martingale(
     alive = _decided(records, "alive", (len(grid),))
 
     mean_d = {f"{t:g}": _mean_se(D[:, j]) for j, t in enumerate(grid)}
-    zsc = {t: abs(v["value"] - 1.0) / v["stderr"] for t, v in mean_d.items()}
+    # With se = 0 (every D equal), z is 0 at a mean of exactly 1 and inf otherwise.
+    zsc = {t: abs(v["value"] - 1.0) / v["stderr"] if v["stderr"] else 0.0 if v["value"] == 1.0
+           else math.inf for t, v in mean_d.items()}
     extinct_final = alive[:, -1] == 0
     # extinct => empty h-sum => D identically zero
     extinct_d_zero = bool(np.all(D[extinct_final, -1] == 0.0)) if extinct_final.any() else True

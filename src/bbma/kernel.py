@@ -50,27 +50,25 @@ def survival_probability(x, t, params: ModelParams):
     c = params.c
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    x, t = np.broadcast_arrays(x, t)
-    out = np.empty(x.shape, dtype=np.float64)
-    zero_t = t == 0.0
-    if np.any(zero_t):
-        out[zero_t] = (x[zero_t] > 0).astype(np.float64)
-    pos = ~zero_t
-    if np.any(pos):
-        xp, tp = x[pos], t[pos]
-        rt = np.sqrt(tp)
-        first = ndtr((xp - c * tp) / rt)
-        second = np.exp(2.0 * c * xp + log_ndtr(-(xp + c * tp) / rt))
-        val = first - second
-        neg = val < 0.0
+    rt = np.sqrt(t)
+    zero_t = np.count_nonzero(t) < t.size
+    if zero_t:
+        rt = np.where(t == 0.0, 1.0, rt)  # keeps the division finite; replaced below
+    ct = c * t
+    first = ndtr((x - ct) / rt)
+    val = first - np.exp(2.0 * c * x + log_ndtr(-(x + ct) / rt))
+    if zero_t:
+        val = np.where(t == 0.0, x > 0, val)
+    neg = val < 0.0
+    if np.count_nonzero(neg):
         if np.any(neg & (-val > CANCELLATION_REL_TOL * first)):
             warnings.warn(
                 "survival_probability: cancellation beyond relative 1e-9; clamping at 0",
                 RuntimeWarning,
                 stacklevel=2,
             )
-        out[pos] = np.where(neg, 0.0, val)
-    return float(out) if out.ndim == 0 else out
+        val = np.where(neg, 0.0, val)
+    return float(val) if val.ndim == 0 else val
 
 
 def killed_density(x, y, t, params: ModelParams):
@@ -138,29 +136,31 @@ def sample_killed_steps_batch(
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     n = x.shape[0]
-    sp = np.asarray(survival_probability(x, t, params))
-    survived = rng.random(n) < sp
+    survived = rng.random(n) < survival_probability(x, t, params)
 
     position = np.full(n, np.nan)
-    pending = np.flatnonzero(survived)
+    pending = survived.nonzero()[0]
+    n_survived = pending.size
+    # Per survivor, once: the proposal's mean and scale, and -2x and t of 1 - e^{-2xy/t}.
+    xs, ts = x[pending], t[pending]
+    mean, scale, m2x = xs - params.c * ts, np.sqrt(ts), -2.0 * xs
     iters = 0
     while pending.size:
-        xs, ts = x[pending], t[pending]
-        y = xs - params.c * ts + np.sqrt(ts) * rng.standard_normal(pending.size)
-        u = rng.random(pending.size)
-        accept = (y > 0) & (u < -np.expm1(-2.0 * xs * y / ts))
-        position[pending[accept]] = y[accept]
-        pending = pending[~accept]
         iters += 1
         if iters > REJECTION_CAP:
             raise RuntimeError("killed-step rejection sampler exceeded its proposal cap")
+        y = mean + scale * rng.standard_normal(pending.size)
+        u = rng.random(pending.size)
+        accept = (y > 0) & (u < -np.expm1(m2x * y / ts))
+        position[pending[accept]] = y[accept]
+        rejected = (~accept).nonzero()[0]
+        pending, mean, scale, m2x, ts = (a[rejected] for a in (pending, mean, scale, m2x, ts))
 
-    n_absorbed = n - int(np.count_nonzero(survived))
-    if n_absorbed:
+    if n_survived < n:
         # One discarded uniform per absorbed particle, drawn after the
         # rejection loop: it keeps every run_replicate stream bit-identical
         # (tests/test_engine.py pins them).
-        rng.random(n_absorbed)
+        rng.random(n - n_survived)
     return survived, position
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -53,6 +54,21 @@ def test_spawn_rng_stream_distinct_indices():
     assert a != b
 
 
+@pytest.mark.parametrize("seed, index", [(0, 0), (42, 7), (12345, 2**32), (2**64 - 1, 0), (2**64 - 1, 99)])
+def test_spawn_rng_stream_state_equals_philox_key(seed, index):
+    """The stream's state is that of Philox(key=k) for the mixed key k, and
+    the two draw the same numbers."""
+    key = engine._mix64((seed + engine._GAMMA * (index + 1)) & engine._MASK64)
+    got = spawn_rng_stream(seed, index)
+    want = np.random.Philox(key=key)
+    gs, ws = got.bit_generator.state, want.state
+    assert gs.keys() == ws.keys() and gs["bit_generator"] == ws["bit_generator"] == "Philox"
+    assert all(np.array_equal(gs["state"][k], ws["state"][k]) for k in ("counter", "key"))
+    assert np.array_equal(gs["buffer"], ws["buffer"])
+    assert all(gs[k] == ws[k] for k in ("buffer_pos", "has_uint32", "uinteger"))
+    assert got.random(8).tolist() == np.random.Generator(want).random(8).tolist()
+
+
 def test_replicate_bit_identical_reruns():
     res1, _ = busy_replicate(seed=5)
     res2, _ = busy_replicate(seed=5)
@@ -92,6 +108,53 @@ def test_replicate_stream_pinned(seed):
     d_hex = [float.hex(float(d)) for d in res.trace.d]
     d_trunc_hex = [float.hex(float(d)) for d in truncated_martingale(res.censuses, p, 1.0, 1.2)]
     assert (res.n_events, res.counters, d_hex, d_trunc_hex) == PINNED_STREAMS[seed]
+
+
+MIXED = OffspringLaw.from_pmf({0: 0.2, 1: 0.1, 2: 0.4, 3: 0.3})
+
+
+def _hex_digest(values):
+    return hashlib.sha256(" ".join(float.hex(float(v)) for v in values).encode()).hexdigest()
+
+
+# A non-dyadic stream: the law MIXED at c = 1, r = 1.5 from x0 = 1 to horizon
+# 5, censuses every 1.25, on spawn_rng_stream(2, 0), which draws child counts
+# with rng.choice and has childless deaths and single children.  Per
+# certify_survival: status, n_events, counters, float.hex of each census D
+# and of extinction_bound, and the EventRecorder's event count with sha256
+# digests of its waits, offspring and event times, each as float.hex
+# strings.  The certified run stops on a prefix of the same stream.  Any
+# change to the draw order or the cohort bookkeeping moves them.
+MIXED_PINNED_STREAMS = {
+    False: ("ok", 1085,
+            {"created": 945, "absorbed": 244, "died_childless": 73, "branched": 411, "alive_final": 217},
+            ["0x1.0000000000000p+0", "0x1.03705d22e2894p+4", "0x1.0770d2c319f7cp+4",
+             "0x1.a641775415102p+3", "0x1.6ddabdd8653a3p+4"],
+            None, 484,
+            "af7bb90f46609a3b1633ebfa187aee1f39c4031152b66a5626d5e25a1ae3950b",
+            "c4fc83a6e9f6e406ef3e8ac8a3692317d0ab135d8bdeeca5043aa3255bf830d0",
+            "e9c379dc84fcfec12e84da71ae01836fc9bb586ade467abf3f492fbe94fb2dea"),
+    True: ("certified_survival", 862,
+           {"created": 821, "absorbed": 205, "died_childless": 61, "branched": 357, "alive_final": 198},
+           ["0x1.0000000000000p+0", "0x1.03705d22e2894p+4", "0x1.0770d2c319f7cp+4",
+            "0x1.a641775415102p+3"],
+           "0x1.58759e11fa695p-41", 418,
+           "329d55260fe3ee3159f20c839929b660c947d3cc61f302efa0bcc8e5797ccda4",
+           "c66a09dfb3fa779b4cf92156b2b1e63904779e067934eaec377d614ae3e20864",
+           "b6a52d7ba8a44176cdad9ccf756ba5077a3cfc01e13c14cc22fbc2b1359346c0"),
+}
+
+
+@pytest.mark.parametrize("certify", [False, True])
+def test_non_dyadic_stream_pinned(certify):
+    rec = EventRecorder()
+    res = run_replicate(params(r=1.5, offspring=MIXED), 1.0, 5.0, [0.0, 1.25, 2.5, 3.75, 5.0],
+                        spawn_rng_stream(2, 0), event_recorder=rec, certify_survival=certify)
+    bound = None if res.extinction_bound is None else float.hex(res.extinction_bound)
+    got = (res.status, res.n_events, res.counters, [float.hex(float(d)) for d in res.trace.d],
+           bound, rec.n_events, _hex_digest(rec.waits()), _hex_digest(rec.offspring()),
+           _hex_digest(rec.times()))
+    assert got == MIXED_PINNED_STREAMS[certify]
 
 
 def test_replicates_independent_of_execution_order():

@@ -190,6 +190,15 @@ def test_martingale_tail_mass_decreases_in_cutoff(martingale_report):
     assert tail["10"]["value"] >= tail["100"]["value"] >= 0.0
 
 
+def test_martingale_zero_stderr_fails_instead_of_crashing():
+    """From x0 = 0.001 all three replicates die out, so D = 0 at every census
+    with a standard error of 0: the mean-one z is inf and the check fails."""
+    rep = experiment_martingale(REF, 0.001, [1, 2], [1], 3, 1)
+    assert rep.aggregates["mean_D"]["1"] == {"value": 0.0, "stderr": 0.0, "n": 3}
+    assert rep.aggregates["mean_one_z"] == {"1": math.inf, "2": math.inf}
+    assert not rep.passed
+
+
 def test_martingale_rejects_subcritical():
     sub = ModelParams(c=1.0, r=0.2, offspring=OffspringLaw.dyadic())
     with pytest.raises(ValueError, match="supercritical"):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import log_ndtr, ndtr
 
 from bbma.kernel import (
     asymptotic_error_bounds,
@@ -86,6 +87,75 @@ def test_survival_monotone_in_x_property(x1, x2, t):
     p = params()
     lo, hi = sorted((x1, x2))
     assert survival_probability(lo, t, p) <= survival_probability(hi, t, p) + 1e-15
+
+
+def _survival_reference(x, t, params):
+    """survival_probability as first written, over boolean masks of the
+    broadcast inputs; kept to pin the one-pass version bit for bit."""
+    c = params.c
+    x = np.asarray(x, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    x, t = np.broadcast_arrays(x, t)
+    out = np.empty(x.shape, dtype=np.float64)
+    zero_t = t == 0.0
+    if np.any(zero_t):
+        out[zero_t] = (x[zero_t] > 0).astype(np.float64)
+    pos = ~zero_t
+    if np.any(pos):
+        xp, tp = x[pos], t[pos]
+        rt = np.sqrt(tp)
+        first = ndtr((xp - c * tp) / rt)
+        second = np.exp(2.0 * c * xp + log_ndtr(-(xp + c * tp) / rt))
+        val = first - second
+        neg = val < 0.0
+        if np.any(neg & (-val > 1e-9 * first)):
+            warnings.warn(
+                "survival_probability: cancellation beyond relative 1e-9; clamping at 0",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        out[pos] = np.where(neg, 0.0, val)
+    return float(out) if out.ndim == 0 else out
+
+
+SURVIVAL_X = np.geomspace(1e-3, 20.0, 37)
+SURVIVAL_T = np.array([0.0, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0])
+
+
+@pytest.mark.parametrize("c", [0.3, 1.0, 3.0])
+def test_survival_equals_reference_formula(c):
+    """Same values (==) and return types as the reference, for broadcast
+    grids, scalars, 0-d and one-element arrays, t = 0 included."""
+    p = params(c=c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no clamp and no division warning on this grid
+        for x, t in ((SURVIVAL_X[:, None], SURVIVAL_T), (SURVIVAL_X, 1.0), (0.5, SURVIVAL_T),
+                     (np.repeat(SURVIVAL_X, SURVIVAL_T.size), np.tile(SURVIVAL_T, SURVIVAL_X.size))):
+            got, want = survival_probability(x, t, p), _survival_reference(x, t, p)
+            assert type(got) is np.ndarray and got.shape == want.shape
+            assert np.array_equal(got, want)
+        for x in SURVIVAL_X[::4]:
+            for t in SURVIVAL_T:
+                for args in ((x, t), (np.array(x), np.array(t)), (np.array([x]), np.array([t])),
+                             (np.array([x]), t), (x, np.array([t, t]))):
+                    got, want = survival_probability(*args, p), _survival_reference(*args, p)
+                    assert type(got) is type(want)
+                    assert np.array_equal(got, want), (args, got, want)
+
+
+def test_survival_clamp_warning_still_fires():
+    """x < 0 lies outside the domain: the formula goes negative, warns and
+    clamps at 0, as the reference does; a t = 0 entry never warns."""
+    p = params()
+    for x, t in ((-0.5, 1.0), (np.array([-0.5, 1.0]), np.array([1.0, 0.0]))):
+        with pytest.warns(RuntimeWarning, match="cancellation beyond relative 1e-9"):
+            got = survival_probability(x, t, p)
+        with pytest.warns(RuntimeWarning, match="cancellation beyond relative 1e-9"):
+            want = _survival_reference(x, t, p)
+        assert type(got) is type(want) and np.array_equal(got, want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(survival_probability(np.array([-1.0, 0.0, 2.0]), 0.0, p), [0.0, 0.0, 1.0])
 
 
 # -- killed density / cdf ----------------------------------------------------
@@ -270,6 +340,40 @@ def test_killed_step_stream_parity():
     r2.random(n)                           # survival uniforms
     r2.random(n)                           # one per absorbed particle
     assert r1.random() == r2.random()      # streams fully aligned afterwards
+
+
+def _killed_steps_reference(x, t, params, rng):
+    """sample_killed_steps_batch as first written, re-indexing every pending
+    particle's inputs in each rejection round."""
+    n = x.shape[0]
+    survived = rng.random(n) < _survival_reference(x, t, params)
+    position = np.full(n, np.nan)
+    pending = np.flatnonzero(survived)
+    while pending.size:
+        xs, ts = x[pending], t[pending]
+        y = xs - params.c * ts + np.sqrt(ts) * rng.standard_normal(pending.size)
+        u = rng.random(pending.size)
+        accept = (y > 0) & (u < -np.expm1(-2.0 * xs * y / ts))
+        position[pending[accept]] = y[accept]
+        pending = pending[~accept]
+    rng.random(n - int(np.count_nonzero(survived)))
+    return survived, position
+
+
+@pytest.mark.parametrize("n", [1, 3, 200, 20_000])
+@pytest.mark.parametrize("c", [0.3, 1.0, 3.0])
+def test_killed_steps_equal_reference_sampler(n, c):
+    """Same survivals, positions (==) and stream position afterwards as the
+    reference, across long steps with many rejection rounds."""
+    p = params(c=c)
+    inputs = np.random.default_rng(n)
+    x, t = inputs.uniform(1e-3, 4.0, n), inputs.uniform(1e-6, 6.0, n)
+    r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
+    s1, pos1 = sample_killed_steps_batch(x, t, p, r1)
+    s2, pos2 = _killed_steps_reference(x, t, p, r2)
+    assert np.array_equal(s1, s2)
+    assert np.array_equal(pos1, pos2, equal_nan=True)
+    assert r1.random() == r2.random()
 
 
 # -- sharp-asymptotics error bounds ------------------------------------------
