@@ -7,13 +7,15 @@ as a vectorized cohort — one phase advances every active particle by one
 step — which keeps the per-event cost flat while populations grow.
 
 Censuses record everything the truncation windows J^M_s = [0, M(1 + s^{3/4}))
-need after the fact: per alive particle, an ancestor index into the
-previous census; and the interval's checkpoints (its start points, branch
+need after the fact: the interval's checkpoints (its start points, branch
 events and census points, each with time and position) as a parent-pointer
 tree that stores each checkpoint once, however many particles descend from
 it, appended in blocks whose rows have their parents in earlier blocks.
-Window checks and per-segment escape factors accumulate down that tree, one
-pass per block.  A run records only what the run alone can observe (D_t and
+The first block, the tree's roots, is the previous census's particles in
+slot order, so the trees of successive censuses join into one genealogy.
+Window checks and per-segment escape factors accumulate down the trees, one
+pass per block, each tree's roots starting from the previous census's
+results.  A run records only what the run alone can observe (D_t and
 |N_t| per census); window flags, the truncated martingale D^M and counts in
 a set (set_counts) are computed from the stored censuses for any window
 size (and any clock shift): as 0/1 flags judged at the checkpoints
@@ -96,13 +98,13 @@ class Census:
     time: float
     alive_positions: np.ndarray
     absorbed_count: int
-    ancestor_index: np.ndarray
     # The interval's checkpoint tree for window queries and escape bounds:
     # one row per checkpoint (time, position, parent row), each alive
     # particle's leaf row (chk_slot) and the block offsets (chk_block).  The
-    # first block holds the roots (parent -1): the previous census's particles,
-    # or (0, x0).  Every other row's parent lies in an earlier block.  None
-    # when the replicate was run with checkpoint_chains=False.
+    # first block holds the roots (parent -1): the previous census's particles
+    # in slot order (its time and alive_positions), or (0, x0).  Every other
+    # row's parent lies in an earlier block.  None when the replicate was run
+    # with checkpoint_chains=False.
     chk_slot: np.ndarray | None
     chk_time: np.ndarray | None
     chk_pos: np.ndarray | None
@@ -175,11 +177,10 @@ class EventRecorder:
 class _Cohort:
     """Particles of one replicate, one row per active particle."""
 
-    __slots__ = ("pos", "anc", "chain")
+    __slots__ = ("pos", "chain")
 
-    def __init__(self, pos: np.ndarray, anc: np.ndarray, chain: np.ndarray) -> None:
+    def __init__(self, pos: np.ndarray, chain: np.ndarray) -> None:
         self.pos = pos      # position, float64
-        self.anc = anc      # slot in the previous census, -1 before the first; int64
         self.chain = chain  # latest checkpoint row of this interval's tree, int64;
                             # read only with checkpoint chains
 
@@ -189,8 +190,8 @@ class _Cohort:
         if len(parts) == 1:
             return parts[0]
         if not parts:
-            return cls(np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64))
-        return cls(*(np.concatenate(col) for col in zip(*((c.pos, c.anc, c.chain) for c in parts))))
+            return cls(np.zeros(0), np.zeros(0, np.int64))
+        return cls(*(np.concatenate(col) for col in zip(*((c.pos, c.chain) for c in parts))))
 
     @property
     def size(self) -> int:
@@ -198,7 +199,7 @@ class _Cohort:
 
     def take(self, idx: np.ndarray) -> "_Cohort":
         """The rows idx (an index array or boolean mask)."""
-        return _Cohort(self.pos[idx], self.anc[idx], self.chain[idx])
+        return _Cohort(self.pos[idx], self.chain[idx])
 
 
 class _Run:
@@ -252,7 +253,7 @@ class _Run:
         self.law = (law.support, law.probs) if len(law.pmf) > 1 else None
 
         # The active cohort: the root particle, checked at time 0.
-        self.co = _Cohort(np.array([self.x0]), np.array([-1], np.int64), np.zeros(1, np.int64))
+        self.co = _Cohort(np.array([self.x0]), np.zeros(1, np.int64))
 
         self.censuses: list[Census] = []
         self.trace_d: list[float] = []
@@ -367,21 +368,20 @@ class _Run:
 
     def _emit_census(self, t_c: float, co: _Cohort, table: list | None) -> None:
         """Record co as the census at t_c and make it the next interval's
-        cohort.  table is the interval's checkpoint table, which co's chains
-        point into; the census closes it with one leaf row per particle."""
+        cohort, whose slot order is the census's.  table is the interval's
+        checkpoint table, which co's chains point into; the census closes it
+        with one leaf row per particle."""
         nslots = co.size
-        slots = np.arange(nslots, dtype=np.int64)
         chk_slot = chk_time = chk_pos = chk_prev = chk_block = None
         if table is not None:
             table.append((np.full(nslots, t_c), co.pos, co.chain))
             chk_time, chk_pos, chk_prev = (np.concatenate(col) for col in zip(*table))
             chk_block = np.array([0, *itertools.accumulate(len(block[0]) for block in table)], np.int64)
-            chk_slot = chk_time.size - nslots + slots
+            chk_slot = np.arange(chk_time.size - nslots, chk_time.size, dtype=np.int64)
         self.censuses.append(Census(
             time=t_c,
             alive_positions=co.pos,
             absorbed_count=self.absorbed,
-            ancestor_index=co.anc,
             chk_slot=chk_slot,
             chk_time=chk_time,
             chk_pos=chk_pos,
@@ -390,9 +390,6 @@ class _Run:
         ))
         decay = math.exp(-self.params.growth_exponent * t_c)
         self.trace_d.append(float(ground_state_h(co.pos, self.params).sum()) * decay / self.h_x0)
-
-        # Re-seed the cohort for the next interval.
-        co.anc = slots
         self.co = co
 
     # -- driver -------------------------------------------------------------
@@ -455,12 +452,12 @@ def run_replicate(
     """Simulate one replicate started from a single particle at x0.
 
     Censuses are taken at the times in census_grid (sorted, within
-    [0, horizon]); each stores the alive positions, their ancestors at the
-    previous census and, with checkpoint_chains, the interval's checkpoint
-    tree, and the trace holds D_t and |N_t| per census.  Window flags, D^M
-    (truncation_flags_for, truncated_martingale, window_escape_bounds) and
-    counts in a set (set_counts) are computed from the censuses after the
-    run.
+    [0, horizon]); each stores the alive positions and, with
+    checkpoint_chains, the interval's checkpoint tree, whose roots are the
+    previous census's particles, and the trace holds D_t and |N_t| per
+    census.  Window flags, D^M (truncation_flags_for, truncated_martingale,
+    window_escape_bounds) and counts in a set (set_counts) are computed
+    from the censuses after the run.
     A replicate that reaches the horizon has status "ok".  Exceeding
     population_cap cumulative particle-events aborts it with status
     "population_cap_exceeded" and partial censuses.  Whatever the status,
@@ -506,15 +503,8 @@ def truncation_flags_for(censuses: list[Census], M: float, s: float = 0.0) -> li
     brackets the escape probability given the same checkpoints.  Needs
     checkpoint chains.
     """
-    flags: list[np.ndarray] = []
-    prev: np.ndarray | None = None
-    for cen in censuses:
-        if cen.chk_slot is None:
-            raise ValueError("window queries need checkpoint chains (checkpoint_chains=True)")
-        ok = _window_ok(cen.chk_time, cen.chk_pos, cen.chk_prev, cen.chk_block, cen.chk_slot, M, s)
-        prev = _inherit_flags(ok, cen.ancestor_index, prev)
-        flags.append(prev)
-    return flags
+    return _fold_down(
+        censuses, lambda cen: cen.chk_pos < M * (1.0 + (s + cen.chk_time) ** 0.75), np.logical_and)
 
 
 def truncated_martingale(censuses: list[Census], params: ModelParams, x0: float,
@@ -539,35 +529,28 @@ def set_counts(censuses: list[Census], sets) -> list[list[int]]:
     return [[int(B.indicator(cen.alive_positions).sum()) for B in sets] for cen in censuses]
 
 
-def _window_ok(time, pos, prev, block, slot, M: float, s: float) -> np.ndarray:
-    """Per leaf row (slot): whether every checkpoint from its root down to it
-    lies in the s-shifted window, position < M(1 + (s + time)^{3/4})."""
-    good = pos < M * (1.0 + (s + time) ** 0.75)
-    return _fold(good, prev, block, np.logical_and)[slot]
+def _fold_down(censuses: list[Census], row_vals, op) -> list[np.ndarray]:
+    """Per census, op-accumulate row_vals(cen) (a fresh array, one entry per
+    tree row along its first axis) over each alive particle's ancestral
+    path, from the first census's roots down to the particle's leaf row.
 
-
-def _inherit_flags(ok: np.ndarray, anc: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
-    """Hereditary window rule: a particle stays flagged while its own
-    checks pass (ok) and its ancestor at the previous census (anc, -1 for
-    none) was flagged there (prev; None at the first census)."""
-    if prev is None:
-        return ok
-    return ok & np.where(anc >= 0, prev[np.maximum(anc, 0)], True)
-
-
-def _fold(vals: np.ndarray, prev: np.ndarray, block: np.ndarray, op) -> np.ndarray:
-    """op-accumulate vals (one entry per row, along the first axis) over
-    each row's path from its root (prev = -1) down to the row.
-
-    The first block (rows block[0]:block[1]) holds the roots, and every
-    other row's parent lies in an earlier block, so one pass per block
-    finishes each row from its parent's finished value.
+    A later census's roots (rows block[0]:block[1]) are the previous
+    census's particles in slot order, so they take its result in place of
+    their own values; every other row's parent lies in an earlier block, so
+    one pass per block finishes each row from its parent's finished value.
     """
-    acc = vals.copy()
-    bounds = block.tolist()
-    for a, b in zip(bounds[1:-1], bounds[2:]):
-        acc[a:b] = op(acc[prev[a:b]], acc[a:b])
-    return acc
+    out: list[np.ndarray] = []
+    for cen in censuses:
+        if cen.chk_slot is None:
+            raise ValueError("window queries need checkpoint chains (checkpoint_chains=True)")
+        acc = row_vals(cen)
+        bounds = cen.chk_block.tolist()
+        if out:
+            acc[:bounds[1]] = out[-1]
+        for a, b in zip(bounds[1:-1], bounds[2:]):
+            acc[a:b] = op(acc[cen.chk_prev[a:b]], acc[a:b])
+        out.append(acc[cen.chk_slot])
+    return out
 
 
 def _line_crossing_given_positive(g0, g1, x0, x1, tau):
@@ -651,32 +634,25 @@ def window_escape_bounds(censuses: list[Census], M: float) -> list[tuple[np.ndar
     Brownian bridge, independent across segments given the checkpoints, so
     the stay-inside probability is the product of per-segment factors from
     _segment_escape_bounds: one per edge of each census's checkpoint tree,
-    multiplied down the tree and carried across censuses via ancestor_index.
-    Wherever truncation_flags_for(censuses, M) marks a particle escaped
-    (a checkpoint outside the window) both ends are 1; elsewhere the
-    bracket holds the conditional escape probability under the documented
-    path-continuous definition, of which those flags are the 0/1
-    checkpoint-only counterpart.  Needs checkpoint chains.
+    multiplied down the trees of successive censuses.  Wherever
+    truncation_flags_for(censuses, M) marks a particle escaped (a
+    checkpoint outside the window) both ends are 1, as every checkpoint
+    ends an edge of its path and an edge with an end point outside gives
+    1; elsewhere the bracket holds the conditional escape probability under
+    the documented path-continuous definition, of which those flags are the
+    0/1 checkpoint-only counterpart.  Needs checkpoint chains.
     """
-    flags = truncation_flags_for(censuses, M)
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    prev_lo = prev_hi = np.empty(0)  # log stay-probability bounds
-    for cen, ok in zip(censuses, flags):
-        # Every row with a parent ends one path segment.
+    def log_stay(cen: Census) -> np.ndarray:
+        # Every row with a parent ends one path segment; columns: lower, upper.
         edge = np.flatnonzero(cen.chk_prev >= 0)
         up = cen.chk_prev[edge]
         p_lo, p_hi = _segment_escape_bounds(
             cen.chk_time[up], cen.chk_pos[up], cen.chk_time[edge], cen.chk_pos[edge], M)
-        log_stay = np.zeros((cen.chk_prev.size, 2))  # columns: lower, upper
+        rows = np.zeros((cen.chk_prev.size, 2))
         with np.errstate(divide="ignore"):
-            log_stay[edge] = np.log1p(-np.stack([p_hi, p_lo], axis=1))
-        log_lo, log_hi = _fold(log_stay, cen.chk_prev, cen.chk_block, np.add)[cen.chk_slot].T
-        anc = cen.ancestor_index
-        has = np.flatnonzero(anc >= 0)
-        log_hi[has] += prev_hi[anc[has]]
-        log_lo[has] += prev_lo[anc[has]]
-        log_hi[~ok] = log_lo[~ok] = -np.inf
-        out.append((-np.expm1(log_hi), -np.expm1(log_lo)))
-        prev_lo, prev_hi = log_lo, log_hi
-    return out
+            rows[edge] = np.log1p(-np.stack([p_hi, p_lo], axis=1))
+        return rows
+
+    return [(-np.expm1(hi), -np.expm1(lo)) for lo, hi in (
+        acc.T for acc in _fold_down(censuses, log_stay, np.add))]
 

@@ -123,7 +123,7 @@ def expected_count(x: float, t: float, B: IntervalSet, params: ModelParams) -> f
     Each interval's killed mass is a difference of Phi terms (_killed_mass),
     with no quadrature; B=(0,inf) is the survival probability.
     """
-    if not (x > 0 and t > 0):
+    if not (0 < x < math.inf and 0 < t < math.inf):
         raise ValueError("expected_count requires x>0 and t>0")
     growth = math.exp(params.r * (params.offspring.mu1 - 1.0) * t)
     if B.intervals == ((0.0, math.inf),):
@@ -133,7 +133,7 @@ def expected_count(x: float, t: float, B: IntervalSet, params: ModelParams) -> f
 
 def expected_count_asymptotic(x: float, t: float, B: IntervalSet, params: ModelParams) -> float:
     """Late-time first-moment approximation e^{gt} t^{-3/2} h(x) nu(B)."""
-    if not (x > 0 and t > 0):
+    if not (0 < x < math.inf and 0 < t < math.inf):
         raise ValueError("expected_count_asymptotic requires x>0 and t>0")
     g = params.growth_exponent
     return math.exp(g * t) * t ** -1.5 * float(ground_state_h(x, params)) * nu_measure(B, params)
@@ -154,7 +154,7 @@ def second_moment_exact(x: float, t: float, params: ModelParams) -> float:
     16); rules on K and 2K panels differ by the achieved error, held to 1e-8
     relative.  A missed tolerance is a RuntimeWarning rather than a failure.
     """
-    if not (x > 0 and t > 0):
+    if not (0 < x < math.inf and 0 < t < math.inf):
         raise ValueError("second_moment_exact requires x>0 and t>0")
     mu1, mu2 = params.offspring.mu1, params.offspring.mu2
     r = params.r
@@ -259,7 +259,7 @@ def spine_second_moment_mc(
     e^{2 r (mu1 - 1) t}.  Returns (estimate, stderr)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (x > 0 and t > 0):
+    if not (0 < x < math.inf and 0 < t < math.inf):
         raise ValueError("spine_second_moment_mc requires x>0 and t>0")
     scale = math.exp(2.0 * params.r * (params.offspring.mu1 - 1.0) * t)
     _, _, end1, end2, w = _sample_pairs_vectorized(x, t, params, int(n), rng)
@@ -279,7 +279,7 @@ def mean_one_check(x: float, t: float, params: ModelParams) -> float:
     integral is quad at relative tolerance 1e-10 over u, y = (x - c t) +
     sqrt(t) u, within _TAIL_SIGMAS of the bump's centre.
     """
-    if not (x > 0 and t > 0):
+    if not (0 < x < math.inf and 0 < t < math.inf):
         raise ValueError("mean_one_check requires x>0 and t>0")
     # In u, y = (x - c t) + sqrt(t) u, p_t(x,y) h(y) dy is a unit-width bump
     # centred near u = c sqrt(t), because e^{c y} shifts the Gaussian there.

@@ -39,6 +39,16 @@ def busy_replicate(seed=0, **kw):
     return run_replicate(p, 1.0, 4.0, [0.0, 1.0, 2.0, 3.0, 4.0], spawn_rng_stream(seed, 0), **kw), p
 
 
+def census_ancestors(cen):
+    """Each alive particle's slot at the previous census: the root that its
+    chk_prev chain reaches, as a census tree's roots are the previous
+    census's particles in slot order."""
+    row = cen.chk_slot
+    while np.any(cen.chk_prev[row] >= 0):
+        row = np.where(cen.chk_prev[row] >= 0, cen.chk_prev[row], row)
+    return row
+
+
 # -- rng streams -------------------------------------------------------------
 
 
@@ -212,7 +222,7 @@ def test_hereditary_truncation_flags():
         for prev, cur, f in zip(flags[1:], res.censuses[2:], flags[2:]):
             if cur.alive_positions.size == 0:
                 continue
-            anc_ok = prev[cur.ancestor_index]
+            anc_ok = prev[census_ancestors(cur)]
             assert np.all(~f | anc_ok)
             own_ok = truncation_flags_for([cur], 1.2)[0]
             returned += int((~anc_ok & own_ok).sum())
@@ -653,10 +663,9 @@ def test_window_escape_bounds_on_busy_replicates():
                 assert np.all(lo[~f] == 1.0)
                 # a lineage's escape probability only grows along its path
                 if prev is not None:
-                    has = cen.ancestor_index >= 0
-                    anc = cen.ancestor_index[has]
-                    assert np.all(lo[has] >= prev[0][anc])
-                    assert np.all(hi[has] >= prev[1][anc])
+                    anc = census_ancestors(cen)
+                    assert np.all(lo >= prev[0][anc])
+                    assert np.all(hi >= prev[1][anc])
                 prev = (lo, hi)
         for small, large in zip(per_M, per_M[1:]):
             for (lo_s, hi_s), (lo_l, hi_l) in zip(small, large):
@@ -688,9 +697,10 @@ def _walk_paths(censuses, x0, M, s):
     """Window flags at shift s and, at s = 0, escape brackets, by walking
     each alive particle's chk_prev chain from its leaf to its root in plain
     Python: the AND of the window checks along the path, and the sum of the
-    per-edge log stay-probabilities, joined to the ancestor's at the
-    previous census.  Also checks that each path starts where its ancestor
-    was at the previous census (the start point before the first)."""
+    per-edge log stay-probabilities, joined to those of the root it reaches,
+    which is its ancestor's slot at the previous census.  Also checks that
+    each path starts where that ancestor was at the previous census (the
+    start point before the first)."""
     flags, bounds = [], []
     prev = None
     for cen in censuses:
@@ -711,13 +721,12 @@ def _walk_paths(censuses, x0, M, s):
                     break
                 s_lo, s_hi = s_lo + log_stay[row][0], s_hi + log_stay[row][1]
                 row = up[row]
-            a = int(cen.ancestor_index[i])
-            if a >= 0:
-                assert (t[row], x[row]) == (prev[0].time, prev[0].alive_positions[a])
-                ok = ok and prev[1][a]
-                s_lo, s_hi = s_lo + prev[2][a], s_hi + prev[3][a]
+            if prev is not None:
+                assert (t[row], x[row]) == (prev[0].time, prev[0].alive_positions[row])
+                ok = ok and prev[1][row]
+                s_lo, s_hi = s_lo + prev[2][row], s_hi + prev[3][row]
             else:
-                assert prev is None and (t[row], x[row]) == (0.0, x0)
+                assert (t[row], x[row]) == (0.0, x0)
             if not ok:
                 s_lo = s_hi = -math.inf
             f.append(ok)
@@ -758,9 +767,11 @@ def test_tree_consumers_match_plain_path_walk(name):
                     np.testing.assert_array_equal(g, f)
                     escaped += int((~f).sum())
                 if s == 0.0:
-                    for (lo, hi), (g_lo, g_hi) in zip(bounds, got):
+                    for f, (lo, hi), (g_lo, g_hi) in zip(flags, bounds, got):
                         np.testing.assert_allclose(g_lo, lo, rtol=1e-12, atol=0)
                         np.testing.assert_allclose(g_hi, hi, rtol=1e-12, atol=0)
+                        # an escaped particle's bracket is exactly [1, 1]
+                        assert np.all(g_lo[~f] == 1.0) and np.all(g_hi[~f] == 1.0)
     assert escaped > 0
     if name == "delta1":
         assert depth >= 16       # deep paths: many blocks
@@ -780,3 +791,34 @@ def test_each_checkpoint_stored_once(name):
         assert rows == n.sum() + 1 + n[:-1].sum() + res.counters["branched"]
         roots = [int((cen.chk_prev < 0).sum()) for cen in res.censuses]
         assert roots == [1] + n[:-1].tolist()
+        # a census tree's roots are the previous census's particles, in slot order
+        for before, cen in zip(res.censuses, res.censuses[1:]):
+            k = cen.chk_block[1]
+            assert k == before.alive_positions.size
+            assert np.all(cen.chk_time[:k] == before.time)
+            np.testing.assert_array_equal(cen.chk_pos[:k], before.alive_positions)
+
+
+@given(
+    x0=st.floats(1e-3, 3.0),
+    c=st.floats(0.05, 3.0),
+    r=st.floats(0.05, 2.0),
+    p0=st.floats(0.05, 0.6),
+    gaps=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=3),
+    from_zero=st.booleans(),
+    M=st.floats(0.2, 3.0),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=150, deadline=None)
+def test_tree_consumers_match_path_walk_at_extreme_inputs(x0, c, r, p0, gaps, from_zero, M, seed):
+    # tiny start points, strong drift, slow branching, p0 > 0 and census
+    # spacings up to 5; the cap keeps the pure-Python walk small
+    p = params(c=c, r=r, offspring=OffspringLaw.from_pmf({0: p0, 1: 0.1, 3: 0.9 - p0}))
+    grid = [0.0] * from_zero + np.cumsum(gaps).tolist()
+    res = run_replicate(p, x0, grid[-1], grid, spawn_rng_stream(seed, 0), population_cap=400)
+    flags, bounds = _walk_paths(res.censuses, x0, M, 0.0)
+    for f, g in zip(flags, truncation_flags_for(res.censuses, M)):
+        np.testing.assert_array_equal(g, f)
+    for (lo, hi), (g_lo, g_hi) in zip(bounds, window_escape_bounds(res.censuses, M)):
+        np.testing.assert_allclose(g_lo, lo, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(g_hi, hi, rtol=1e-12, atol=0)

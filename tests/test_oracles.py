@@ -409,6 +409,24 @@ def test_extinction_probability_validates_x():
         extinction_probability([1.0, math.nan], params(r=1.5))
 
 
+@pytest.mark.parametrize("name, call", [
+    ("expected_count", lambda x, t: expected_count(x, t, AXIS, params())),
+    ("expected_count", lambda x, t: expected_count(x, t, IntervalSet([(1.0, math.inf)]), params())),
+    ("expected_count_asymptotic", lambda x, t: expected_count_asymptotic(x, t, AXIS, params())),
+    ("second_moment_exact", lambda x, t: second_moment_exact(x, t, params())),
+    ("mean_one_check", lambda x, t: mean_one_check(x, t, params())),
+    ("spine_second_moment_mc",
+     lambda x, t: spine_second_moment_mc(x, t, AXIS, AXIS, params(), 10, np.random.default_rng(0))),
+])
+@pytest.mark.parametrize("x, t", [
+    (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan), (0.0, 1.0), (1.0, -1.0),
+])
+def test_oracles_refuse_nonpositive_and_nonfinite_inputs(name, call, x, t):
+    # each test is written so that NaN and infinity fail it
+    with pytest.raises(ValueError, match=f"^{name} requires x>0 and t>0$"):
+        call(x, t)
+
+
 @pytest.mark.parametrize("c, r, law, xs", [
     (1.0, 1.5, DYADIC, (0.05, 0.3, 1.0, 2.0, 5.0)),
     (1.0, 0.6, DYADIC, (0.5, 2.0)),
