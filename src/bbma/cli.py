@@ -502,6 +502,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except OverflowError as e:
+        print(f"error: a value exceeds the floating-point range ({e})", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -248,9 +248,11 @@ class _Run:
         self.status = "ok"
         self.extinction_bound = None
 
-        # Child counts are drawn from (support, probs); a one-atom law fixes them.
+        # Child counts are drawn from (support, probs); a one-atom law fixes
+        # every count at atom.
         law = params.offspring
         self.law = (law.support, law.probs) if len(law.pmf) > 1 else None
+        self.atom = law.pmf[0][0]
 
         # The active cohort: the root particle, checked at time 0.
         self.co = _Cohort(np.array([self.x0]), np.zeros(1, np.int64))
@@ -326,13 +328,15 @@ class _Run:
             if not br.size:
                 break
             if self.law is None:
-                m = np.full(br.size, p.offspring.pmf[0][0], np.int64)
+                m = self.atom
+                n_parents = br.size if m else 0
             else:
                 support, probs = self.law
                 m = rng.choice(support, size=br.size, p=probs)
+                n_parents = int(np.count_nonzero(m))
             if self.recorder is not None:
-                self.recorder.record(E[br], m, (t_end - rem + dt)[br])
-            n_parents = int(np.count_nonzero(m))
+                counts = np.full(br.size, m, np.int64) if self.law is None else m
+                self.recorder.record(E[br], counts, t_end - rem[br] + dt[br])
             self.branched += n_parents
             self.died_childless += br.size - n_parents
             if not n_parents:
@@ -341,13 +345,14 @@ class _Run:
                 has_kids = m >= 1
                 br, m = br[has_kids], m[has_kids]
             # Each child starts as a copy of its parent: one row per child.
-            rows = np.repeat(br, m)
-            self.created += rows.size
-            child_rem = (rem - dt)[rows]
-            kids = co.take(rows)
-            if table is not None:
-                table.append(((t_end - rem + dt)[br], co.pos[br], co.chain[br]))
-                kids.chain = np.repeat(ct_len + np.arange(br.size, dtype=np.int64), m)
+            pos_br, rem_br, dt_br = co.pos[br], rem[br], dt[br]
+            child_pos, child_rem = np.repeat(pos_br, m), np.repeat(rem_br - dt_br, m)
+            self.created += child_pos.size
+            if table is None:
+                kids = _Cohort(child_pos, np.zeros(child_pos.size, np.int64))
+            else:
+                table.append((t_end - rem_br + dt_br, pos_br, co.chain[br]))
+                kids = _Cohort(child_pos, np.repeat(ct_len + np.arange(br.size, dtype=np.int64), m))
                 ct_len += br.size
 
             at_boundary = child_rem <= 0.0
@@ -375,8 +380,12 @@ class _Run:
         chk_slot = chk_time = chk_pos = chk_prev = chk_block = None
         if table is not None:
             table.append((np.full(nslots, t_c), co.pos, co.chain))
-            chk_time, chk_pos, chk_prev = (np.concatenate(col) for col in zip(*table))
             chk_block = np.array([0, *itertools.accumulate(len(block[0]) for block in table)], np.int64)
+            # One column at a time, each column's blocks released before the
+            # next is built.
+            columns = list(zip(*table))
+            table.clear()
+            chk_time, chk_pos, chk_prev = (np.concatenate(columns.pop(0)) for _ in range(3))
             chk_slot = np.arange(chk_time.size - nslots, chk_time.size, dtype=np.int64)
         self.censuses.append(Census(
             time=t_c,

@@ -143,6 +143,8 @@ def _effective_horizon(params: ModelParams, x0: float, horizon: float) -> float:
     lo, hi = 1e-3, t
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats: nothing moves again
+            break
         if expected_count_asymptotic(x0, mid, IntervalSet.positive_axis(), params) <= DESK_POP_CAP:
             lo = mid
         else:

@@ -11,7 +11,9 @@ Everything here is in closed form or exact-sampling form:
 The killed-step sampler is exact for any step length: survival is decided by
 the closed-form probability and the surviving position by rejection from the
 free Gaussian proposal (the acceptance probability 1 - e^{-2xy/t} is the
-probability that a Brownian bridge from x to y stays positive).  Unconditional
+probability that a Brownian bridge from x to y stays positive).  Once at most
+_FEW particles are pending, the rejection rounds run on Python floats, with
+the same draws and float expressions as the array rounds.  Unconditional
 hitting times are inverse-Gaussian draws via Generator.wald.
 """
 from __future__ import annotations
@@ -26,6 +28,9 @@ from .model import IntervalSet, ModelParams, ground_state_h
 
 # Rejection sampling is abandoned (pathology) after this many proposals.
 REJECTION_CAP = 10**6
+# Rejection rounds with at most this many pending particles run on Python
+# floats: such a round costs less than one numpy dispatch per operation.
+_FEW = 16
 # Survival formula: warn if the Gaussian-difference cancellation exceeds this.
 CANCELLATION_REL_TOL = 1e-9
 
@@ -145,7 +150,7 @@ def sample_killed_steps_batch(
     xs, ts = x[pending], t[pending]
     mean, scale, m2x = xs - params.c * ts, np.sqrt(ts), -2.0 * xs
     iters = 0
-    while pending.size:
+    while pending.size > _FEW:
         iters += 1
         if iters > REJECTION_CAP:
             raise RuntimeError("killed-step rejection sampler exceeded its proposal cap")
@@ -155,6 +160,25 @@ def sample_killed_steps_batch(
         position[pending[accept]] = y[accept]
         rejected = (~accept).nonzero()[0]
         pending, mean, scale, m2x, ts = (a[rejected] for a in (pending, mean, scale, m2x, ts))
+
+    # The last few pending particles: the same draws and float expressions
+    # on Python floats, without a numpy dispatch per operation and round.
+    # np.expm1, not math.expm1, whose last bit can differ from the array's.
+    rest = list(zip(pending.tolist(), mean.tolist(), scale.tolist(), m2x.tolist(), ts.tolist()))
+    while rest:
+        iters += 1
+        if iters > REJECTION_CAP:
+            raise RuntimeError("killed-step rejection sampler exceeded its proposal cap")
+        z, u = rng.standard_normal(len(rest)).tolist(), rng.random(len(rest)).tolist()
+        left = []
+        for row, zj, uj in zip(rest, z, u):
+            i, mean_i, scale_i, m2x_i, t_i = row
+            y = mean_i + scale_i * zj
+            if y > 0 and uj < -np.expm1(m2x_i * y / t_i):
+                position[i] = y
+            else:
+                left.append(row)
+        rest = left
 
     if n_survived < n:
         # One discarded uniform per absorbed particle, drawn after the

@@ -186,6 +186,15 @@ def test_bad_float_flag_exit_1(tmp_path, capsys, command, flag, value, match):
     _assert_usage_error(capsys, out, match)
 
 
+@pytest.mark.parametrize("horizon", ["300", "5000"])
+def test_oracle_overflow_exit_1(tmp_path, capsys, horizon):
+    # e^{2mt} in second_moment_exact (t = 300) and e^{mt} in expected_count
+    # (t = 5000) overflow: one error line, no traceback
+    out = tmp_path / "out"
+    assert main(["moments", *SUPER, "--horizon", horizon, "--out", str(out)]) == 1
+    _assert_usage_error(capsys, out, "a value exceeds the floating-point range (math range error)")
+
+
 def test_every_flag_dest_is_a_run_key():
     # flags are read by RunConfig field name, so a flag whose dest is not a
     # field would be dropped without a word

@@ -167,6 +167,33 @@ def test_non_dyadic_stream_pinned(certify):
     assert got == MIXED_PINNED_STREAMS[certify]
 
 
+# The dyadic law on the same model, grid and stream: status, n_events,
+# counters, float.hex of each census D, and the EventRecorder's event count
+# with sha256 digests of its waits, offspring and event times.  A one-atom law
+# fixes every child count without a draw, so the engine builds its count
+# array only for a recorder; this pins that array and the event times.
+DYADIC_RECORDER_PIN = (
+    "ok", 489, {"created": 433, "absorbed": 96, "died_childless": 0, "branched": 216, "alive_final": 121},
+    ["0x1.0000000000000p+0", "0x1.e3c323834501cp+3", "0x1.285d012296197p+2",
+     "0x1.26909751d1df3p+2", "0x1.233d0ef8d43f4p+2"],
+    216,
+    "6e00b715c886c5c2a6a9978165304833fa131a647dfd5d1c2e6e131bbd2e5e5c",
+    "aabb7c88fb3ca3043cc5beea7bd62af33dccdb5a11037d5b21fecb3996d7a0f2",
+    "6ceee8404ece045978ca3ce05728f37162d0bceba4c36b135b55252b7fab4b52",
+)
+
+
+def test_dyadic_recorder_stream_pinned():
+    rec = EventRecorder()
+    res = run_replicate(params(r=1.5), 1.0, 5.0, [0.0, 1.25, 2.5, 3.75, 5.0],
+                        spawn_rng_stream(2, 0), event_recorder=rec)
+    got = (res.status, res.n_events, res.counters, [float.hex(float(d)) for d in res.trace.d],
+           rec.n_events, _hex_digest(rec.waits()), _hex_digest(rec.offspring()),
+           _hex_digest(rec.times()))
+    assert got == DYADIC_RECORDER_PIN
+    assert rec.offspring().dtype == np.int64
+
+
 def test_replicates_independent_of_execution_order():
     p = params(r=1.2)
 

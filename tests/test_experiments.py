@@ -317,6 +317,47 @@ def test_phase_flags_uninformative_horizon():
     assert not rep.passed
 
 
+def _effective_horizon_200(params, x0, horizon):
+    """_effective_horizon as first written: always 200 bisection steps."""
+    t = float(horizon)
+    if expected_count_asymptotic(x0, t, IntervalSet.positive_axis(), params) <= DESK_POP_CAP:
+        return t
+    lo, hi = 1e-3, t
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if expected_count_asymptotic(x0, mid, IntervalSet.positive_axis(), params) <= DESK_POP_CAP:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("r", [1.5, 4.0, 40.0])
+def test_effective_horizon_equals_full_bisection(c, r):
+    """The bisection that stops once lo and hi are adjacent returns the
+    200-step result bit for bit."""
+    p = ModelParams(c=c, r=r, offspring=OffspringLaw.dyadic())
+    for x0 in (0.01, 1.0, 7.0):
+        for horizon in (0.5, 3.0, 15.0, 600.0 / r):
+            got = experiments._effective_horizon(p, x0, horizon)
+            assert float.hex(got) == float.hex(_effective_horizon_200(p, x0, horizon)), (x0, horizon)
+
+
+def test_effective_horizon_stops_when_converged(monkeypatch):
+    """On the phase workload's supercritical cell the bisection converges
+    after 56 halvings; it no longer pays for the remaining 144."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return expected_count_asymptotic(*args)
+    monkeypatch.setattr(experiments, "expected_count_asymptotic", counted)
+    t = experiments._effective_horizon(REF, 1.0, 100.0)
+    assert len(calls) <= 60, len(calls)
+    assert t == _effective_horizon_200(REF, 1.0, 100.0)
+
+
 def test_phase_certifies_supercritical_survivors(phase_report):
     sub, sup = phase_report.aggregates["cells"]
     assert sub["certified"] == sub["undecided"] == sup["undecided"] == 0

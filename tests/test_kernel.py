@@ -9,6 +9,7 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr
 
+from bbma import kernel
 from bbma.kernel import (
     asymptotic_error_bounds,
     first_passage_density,
@@ -374,6 +375,82 @@ def test_killed_steps_equal_reference_sampler(n, c):
     assert np.array_equal(s1, s2)
     assert np.array_equal(pos1, pos2, equal_nan=True)
     assert r1.random() == r2.random()
+
+
+@pytest.mark.parametrize("few", [0, 10**9])
+@pytest.mark.parametrize("n", [1, 3, 200, 20_000])
+@pytest.mark.parametrize("c", [0.3, 1.0, 3.0])
+def test_killed_steps_equal_reference_sampler_any_tail(monkeypatch, few, n, c):
+    """The same comparison with every rejection round on arrays (few = 0)
+    and every round on Python floats (few = 10^9)."""
+    monkeypatch.setattr(kernel, "_FEW", few)
+    test_killed_steps_equal_reference_sampler(n, c)
+
+
+@pytest.mark.parametrize("few", [0, kernel._FEW, 10**9])
+@pytest.mark.parametrize("n", [40, 400, 2000])
+@pytest.mark.parametrize("c", [0.3, 1.0])
+def test_killed_steps_equal_reference_sampler_low_survival(monkeypatch, few, n, c):
+    """Near the origin over long steps a survivor is accepted with the small
+    probability sp per proposal, so its rounds run into the hundreds, most
+    of them with a single pending particle."""
+    monkeypatch.setattr(kernel, "_FEW", few)
+    p = params(c=c)
+    inputs = np.random.default_rng(n + 1)
+    x, t = inputs.uniform(1e-3, 0.1, n), inputs.uniform(2.0, 6.0, n)
+    r1, r2 = np.random.default_rng(5), np.random.default_rng(5)
+    s1, pos1 = sample_killed_steps_batch(x, t, p, r1)
+    s2, pos2 = _killed_steps_reference(x, t, p, r2)
+    assert np.array_equal(s1, s2)
+    assert np.array_equal(pos1, pos2, equal_nan=True)
+    assert r1.random() == r2.random()
+
+
+class _CountingRng:
+    """A Generator that counts its standard_normal calls: one per rejection round."""
+
+    def __init__(self, seed):
+        self.rng, self.rounds = np.random.default_rng(seed), 0
+
+    def standard_normal(self, size):
+        self.rounds += 1
+        return self.rng.standard_normal(size)
+
+    def random(self, size):
+        return self.rng.random(size)
+
+
+def test_rejection_cap_counts_every_round(monkeypatch):
+    """The cap fires at the same proposal round whichever loop runs it."""
+    inputs = np.random.default_rng(401)
+    x, t = inputs.uniform(1e-3, 0.1, 400), inputs.uniform(2.0, 6.0, 400)
+    probe = _CountingRng(5)
+    survived, _ = sample_killed_steps_batch(x, t, params(), probe)
+    rounds = probe.rounds
+    assert survived.any() and rounds > 100
+    for few in (0, kernel._FEW, 10**9):
+        monkeypatch.setattr(kernel, "_FEW", few)
+        monkeypatch.setattr(kernel, "REJECTION_CAP", rounds)
+        sample_killed_steps_batch(x, t, params(), _CountingRng(5))
+        monkeypatch.setattr(kernel, "REJECTION_CAP", rounds - 1)
+        capped = _CountingRng(5)
+        with pytest.raises(RuntimeError, match="proposal cap"):
+            sample_killed_steps_batch(x, t, params(), capped)
+        assert capped.rounds == rounds - 1
+
+
+def test_np_expm1_of_python_floats_equals_array_result():
+    """The rejection tail evaluates np.expm1 on Python floats; it must agree
+    bit for bit with the array loop.  math.expm1 is no substitute: where
+    numpy's expm1 is vectorized (x86-64 with AVX-512) it differs from the C
+    library's in the last bit, for 5,216 of 700,000 uniform arguments in
+    (-50, 0) with numpy 2.4."""
+    rng = np.random.default_rng(17)
+    args = np.concatenate([rng.uniform(-50.0, 0.0, 60_000),
+                           -np.exp(rng.uniform(math.log(1e-14), math.log(50.0), 60_000))])
+    want = np.expm1(args)
+    got = np.array([np.expm1(a) for a in args.tolist()])
+    assert np.array_equal(got, want)
 
 
 # -- sharp-asymptotics error bounds ------------------------------------------
