@@ -4,7 +4,9 @@ Each particle alternates exact killed steps with branch events: a step spans
 min(exponential branch wait, next census boundary, horizon remainder), so
 census snapshots carry zero discretization error.  Particles are processed
 as a vectorized cohort — one phase advances every active particle by one
-step — which keeps the per-event cost flat while populations grow.
+step — which keeps the per-event cost flat while populations grow; a phase
+of at most _FEW particles runs on Python lists, with the same draws and
+float expressions.
 
 Censuses record everything the truncation windows J^M_s = [0, M(1 + s^{3/4}))
 need after the fact: the interval's checkpoints (its start points, branch
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import sample_killed_steps_batch
+from .kernel import _FEW, _draws, _tolist, sample_killed_steps_batch
 from .model import ModelParams, ground_state_h
 from .oracles import _kesten_wave
 
@@ -174,20 +176,25 @@ class EventRecorder:
         return np.concatenate(self._times) if self._times else np.empty(0)
 
 
+def _filled(n: int, value, dtype=np.float64):
+    """n copies of value: a list for 1 to _FEW copies, else an array."""
+    return [value] * n if 0 < n <= _FEW else np.full(n, value, dtype)
+
+
 class _Cohort:
-    """Particles of one replicate, one row per active particle."""
+    """Particles of one replicate, one row per active particle (lists in _phase_few)."""
 
     __slots__ = ("pos", "chain")
 
-    def __init__(self, pos: np.ndarray, chain: np.ndarray) -> None:
+    def __init__(self, pos, chain) -> None:
         self.pos = pos      # position, float64
         self.chain = chain  # latest checkpoint row of this interval's tree, int64;
                             # read only with checkpoint chains
 
     @classmethod
     def concat(cls, parts: list["_Cohort"]) -> "_Cohort":
-        """The rows of every part, in order."""
-        if len(parts) == 1:
+        """The rows of every part, in order, as array columns."""
+        if len(parts) == 1 and isinstance(parts[0].pos, np.ndarray):
             return parts[0]
         if not parts:
             return cls(np.zeros(0), np.zeros(0, np.int64))
@@ -195,7 +202,7 @@ class _Cohort:
 
     @property
     def size(self) -> int:
-        return self.pos.size
+        return len(self.pos)
 
     def take(self, idx: np.ndarray) -> "_Cohort":
         """The rows idx (an index array or boolean mask)."""
@@ -270,7 +277,7 @@ class _Run:
         if not self.keep_chains:
             return None
         co.chain = np.arange(co.size, dtype=np.int64)
-        return [(np.full(co.size, t), co.pos, np.full(co.size, -1, np.int64))]
+        return [(_filled(co.size, t), co.pos, _filled(co.size, -1, np.int64))]
 
     def _advance(self, t_start: float, t_end: float):
         """Advance every active particle from t_start to t_end.
@@ -287,11 +294,11 @@ class _Run:
         parked: list[_Cohort] = []
         co = self.co
         table = self._open_table(t_start, co)
-        ct_len = co.size
+        self.n_rows = co.size
 
         # Particles enter an interval synchronized at the previous census,
         # so every remaining-time starts at the full interval length.
-        rem = np.full(co.size, t_end - t_start)
+        rem = _filled(co.size, t_end - t_start)
         parked_log_q, n_scored = 0.0, 0
 
         while co.size:
@@ -312,7 +319,11 @@ class _Run:
                 self.co = _Cohort.concat([*parked, co])
                 return None
             self.n_events += n
+            if n <= _FEW:
+                co, rem = self._phase_few(co, rem, t_end, parked, table)
+                continue
 
+            co, rem = _Cohort(np.asarray(co.pos), np.asarray(co.chain, np.int64)), np.asarray(rem)
             E = rng.exponential(scale=scale, size=n)
             branch_first = E <= rem + TIE_EPS
             dt = np.minimum(E, rem)
@@ -352,8 +363,8 @@ class _Run:
                 kids = _Cohort(child_pos, np.zeros(child_pos.size, np.int64))
             else:
                 table.append((t_end - rem_br + dt_br, pos_br, co.chain[br]))
-                kids = _Cohort(child_pos, np.repeat(ct_len + np.arange(br.size, dtype=np.int64), m))
-                ct_len += br.size
+                kids = _Cohort(child_pos, np.repeat(self.n_rows + np.arange(br.size, dtype=np.int64), m))
+                self.n_rows += br.size
 
             at_boundary = child_rem <= 0.0
             if np.count_nonzero(at_boundary):
@@ -363,6 +374,45 @@ class _Run:
             co, rem = kids, child_rem
 
         return _Cohort.concat(parked), table
+
+    def _phase_few(self, co: _Cohort, rem, t_end: float, parked: list, table: list | None):
+        """One cohort phase of _advance on Python lists, for at most _FEW
+        particles: the same draws, float expressions and row order."""
+        rng = self.rng
+        pos, chain, rem = _tolist(co.pos), _tolist(co.chain), _tolist(rem)
+        E = _draws(rng.exponential, len(pos), 1.0 / self.params.r)
+        dt = [e if e < r else r for e, r in zip(E, rem)]   # np.minimum(E, rem)
+        survived, y = sample_killed_steps_batch(pos, dt, self.params, rng)
+        y, live = y.tolist(), survived.nonzero()[0].tolist()
+        br = [i for i in live if E[i] <= rem[i] + TIE_EPS]
+        self.absorbed += len(pos) - len(live)
+        if len(br) < len(live):
+            stay = [i for i in live if E[i] > rem[i] + TIE_EPS]
+            parked.append(_Cohort([y[i] for i in stay], [chain[i] for i in stay]))
+        kids, kid_rem, at_end, rows = _Cohort([], []), [], _Cohort([], []), []
+        if not br:
+            return kids, kid_rem
+        counts = ([self.atom] * len(br) if self.law is None
+                  else rng.choice(self.law[0], size=len(br), p=self.law[1]).tolist())
+        if self.recorder is not None:
+            self.recorder.record([E[i] for i in br], counts, [t_end - rem[i] + dt[i] for i in br])
+        for i, m in zip(br, counts):
+            if m:
+                left, row = rem[i] - dt[i], self.n_rows + len(rows)
+                rows.append((t_end - rem[i] + dt[i], y[i], chain[i]))
+                dest = kids if left > 0.0 else at_end
+                dest.pos += [y[i]] * m
+                dest.chain += [row] * m
+                kid_rem += [left] * m if left > 0.0 else []
+        self.branched += len(rows)
+        self.died_childless += len(br) - len(rows)
+        self.created += kids.size + at_end.size
+        if table is not None and rows:
+            table.append(tuple(zip(*rows)))
+            self.n_rows += len(rows)
+        if at_end.pos:
+            parked.append(at_end)
+        return kids, kid_rem
 
     def _log_q_upper(self, pos: np.ndarray) -> float:
         """An upper bound on the sum over pos of log q."""
@@ -379,7 +429,7 @@ class _Run:
         nslots = co.size
         chk_slot = chk_time = chk_pos = chk_prev = chk_block = None
         if table is not None:
-            table.append((np.full(nslots, t_c), co.pos, co.chain))
+            table.append((_filled(nslots, t_c), co.pos, co.chain))
             chk_block = np.array([0, *itertools.accumulate(len(block[0]) for block in table)], np.int64)
             # One column at a time, each column's blocks released before the
             # next is built.
@@ -397,8 +447,7 @@ class _Run:
             chk_prev=chk_prev,
             chk_block=chk_block,
         ))
-        decay = math.exp(-self.params.growth_exponent * t_c)
-        self.trace_d.append(float(ground_state_h(co.pos, self.params).sum()) * decay / self.h_x0)
+        self.trace_d.append(_martingale(co.pos, t_c, self.params, self.x0, self.h_x0))
         self.co = co
 
     # -- driver -------------------------------------------------------------
@@ -527,10 +576,25 @@ def truncated_martingale(censuses: list[Census], params: ModelParams, x0: float,
     h_x0 = _h_start(float(x0), params)
     flags = truncation_flags_for(censuses, M)
     return np.array([
-        float(np.sum(ground_state_h(cen.alive_positions, params), where=f))
-        * math.exp(-params.growth_exponent * cen.time) / h_x0
+        _martingale(cen.alive_positions, cen.time, params, x0, h_x0, where=f)
         for cen, f in zip(censuses, flags)
     ])
+
+
+def _martingale(pos, t: float, params: ModelParams, x0: float, h_x0: float, where=True) -> float:
+    """e^{-gt} sum h(y) / h(x0) over y in pos (where where holds).  Where that
+    is not finite, because h(x0), a term or e^{-gt} overflows, the ratio form
+    sum (y/x0) e^{c(y - x0) - gt}, finite wherever D fits in a float."""
+    g = params.growth_exponent
+    if not pos.size:
+        return 0.0
+    try:
+        d = float(ground_state_h(pos, params).sum(where=where)) * math.exp(-g * t) / h_x0
+    except OverflowError:
+        d = math.inf
+    if math.isfinite(d):
+        return d
+    return float(np.sum(pos / x0 * np.exp(params.c * (pos - x0) - g * t), where=where))
 
 
 def set_counts(censuses: list[Census], sets) -> list[list[int]]:

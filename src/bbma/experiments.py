@@ -137,15 +137,21 @@ def _ks_distance(positions: np.ndarray, params: ModelParams) -> float:
 
 def _effective_horizon(params: ModelParams, x0: float, horizon: float) -> float:
     """Largest t <= horizon with expected population within desk scale."""
+    def within(t: float) -> bool:
+        try:
+            return expected_count_asymptotic(x0, t, IntervalSet.positive_axis(), params) <= DESK_POP_CAP
+        except OverflowError:  # e^{gt} beyond the float range: far above the cap
+            return False
+
     t = float(horizon)
-    if expected_count_asymptotic(x0, t, IntervalSet.positive_axis(), params) <= DESK_POP_CAP:
+    if within(t):
         return t
     lo, hi = 1e-3, t
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # lo and hi are adjacent floats: nothing moves again
             break
-        if expected_count_asymptotic(x0, mid, IntervalSet.positive_axis(), params) <= DESK_POP_CAP:
+        if within(mid):
             lo = mid
         else:
             hi = mid

@@ -11,10 +11,12 @@ Everything here is in closed form or exact-sampling form:
 The killed-step sampler is exact for any step length: survival is decided by
 the closed-form probability and the surviving position by rejection from the
 free Gaussian proposal (the acceptance probability 1 - e^{-2xy/t} is the
-probability that a Brownian bridge from x to y stays positive).  Once at most
-_FEW particles are pending, the rejection rounds run on Python floats, with
-the same draws and float expressions as the array rounds.  Unconditional
-hitting times are inverse-Gaussian draws via Generator.wald.
+probability that a Brownian bridge from x to y stays positive).  A call of
+at most _FEW particles, and the rejection rounds once at most _FEW are
+pending, run on Python floats: the same draws in the same order and the same
+float expressions, each ufunc called on one float, where numpy and scipy
+return its array result bit for bit.  Unconditional hitting times are
+inverse-Gaussian draws via Generator.wald.
 """
 from __future__ import annotations
 
@@ -28,11 +30,12 @@ from .model import IntervalSet, ModelParams, ground_state_h
 
 # Rejection sampling is abandoned (pathology) after this many proposals.
 REJECTION_CAP = 10**6
-# Rejection rounds with at most this many pending particles run on Python
-# floats: such a round costs less than one numpy dispatch per operation.
+# Killed steps, cohort phases and rejection rounds of at most this many
+# particles run on Python floats: cheaper than one numpy dispatch per operation.
 _FEW = 16
 # Survival formula: warn if the Gaussian-difference cancellation exceeds this.
 CANCELLATION_REL_TOL = 1e-9
+_CLAMPED = "survival_probability: cancellation beyond relative 1e-9; clamping at 0"
 
 __all__ = [
     "survival_probability",
@@ -50,7 +53,7 @@ def survival_probability(x, t, params: ModelParams):
     """P_x(X_t > 0), vectorized; the e^{2cx} Phi term is kept in log space.
 
     t = 0 returns 1 for x > 0 (continuity), so oracles may evaluate the
-    degenerate endpoint of time integrals.
+    degenerate endpoint of time integrals; x = +inf returns 1 at every t.
     """
     c = params.c
     x = np.asarray(x, dtype=np.float64)
@@ -61,17 +64,16 @@ def survival_probability(x, t, params: ModelParams):
         rt = np.where(t == 0.0, 1.0, rt)  # keeps the division finite; replaced below
     ct = c * t
     first = ndtr((x - ct) / rt)
-    val = first - np.exp(2.0 * c * x + log_ndtr(-(x + ct) / rt))
+    with np.errstate(invalid="ignore"):  # x = +inf: inf - inf, patched below
+        val = first - np.exp(2.0 * c * x + log_ndtr(-(x + ct) / rt))
     if zero_t:
         val = np.where(t == 0.0, x > 0, val)
-    neg = val < 0.0
-    if np.count_nonzero(neg):
+    ok = val >= 0.0
+    if np.count_nonzero(ok) < ok.size:  # negative, or nan where x = +inf
+        val = np.where(np.isposinf(x), 1.0, val)
+        neg = val < 0.0
         if np.any(neg & (-val > CANCELLATION_REL_TOL * first)):
-            warnings.warn(
-                "survival_probability: cancellation beyond relative 1e-9; clamping at 0",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            warnings.warn(_CLAMPED, RuntimeWarning, stacklevel=2)
         val = np.where(neg, 0.0, val)
     return float(val) if val.ndim == 0 else val
 
@@ -125,56 +127,72 @@ def first_passage_density(x, s, params: ModelParams):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_killed_steps_batch(
-    x: np.ndarray,
-    t: np.ndarray,
-    params: ModelParams,
-    rng: np.random.Generator,
-):
+def sample_killed_steps_batch(x, t, params: ModelParams, rng: np.random.Generator):
     """Vectorized exact killed steps for a cohort of particles.
 
+    x and t are arrays (or sequences) of start positions and step lengths.
     Returns (survived, position) arrays; position is nan where the particle
     was absorbed.  One uniform decides survival against the closed-form
     probability; surviving positions come from the Gaussian-proposal
-    rejection loop.
+    rejection loop.  A call of at most _FEW particles runs on Python floats
+    throughout, with the draws and float expressions of the array path.
     """
-    x = np.asarray(x, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    n = x.shape[0]
-    survived = rng.random(n) < survival_probability(x, t, params)
-
-    position = np.full(n, np.nan)
-    pending = survived.nonzero()[0]
-    n_survived = pending.size
-    # Per survivor, once: the proposal's mean and scale, and -2x and t of 1 - e^{-2xy/t}.
-    xs, ts = x[pending], t[pending]
-    mean, scale, m2x = xs - params.c * ts, np.sqrt(ts), -2.0 * xs
-    iters = 0
-    while pending.size > _FEW:
-        iters += 1
-        if iters > REJECTION_CAP:
-            raise RuntimeError("killed-step rejection sampler exceeded its proposal cap")
-        y = mean + scale * rng.standard_normal(pending.size)
-        u = rng.random(pending.size)
-        accept = (y > 0) & (u < -np.expm1(m2x * y / ts))
-        position[pending[accept]] = y[accept]
-        rejected = (~accept).nonzero()[0]
-        pending, mean, scale, m2x, ts = (a[rejected] for a in (pending, mean, scale, m2x, ts))
+    n, c, iters = len(x), params.c, 0
+    if n <= _FEW:
+        # survival_probability's float expressions on Python floats, each
+        # ufunc called on one float (bit for bit its array result)
+        survived, position, rest, clamped = [], [math.nan] * n, [], False
+        for i, (xi, ti, u) in enumerate(zip(_tolist(x), _tolist(t), _draws(rng.random, n))):
+            sp = float(xi > 0)
+            if ti != 0.0:
+                rt, ct = math.sqrt(ti), c * ti
+                first = float(ndtr((xi - ct) / rt))
+                sp = first - float(np.exp(2.0 * c * xi + float(log_ndtr(-(xi + ct) / rt))))
+                if not sp >= 0.0:  # negative, or nan where x = +inf (max keeps any other nan)
+                    clamped = clamped or -sp > CANCELLATION_REL_TOL * first
+                    sp = 1.0 if xi == math.inf else max(sp, 0.0)
+            survived.append(u < sp)
+            if u < sp:  # the proposal's mean and scale, and -2x and t of 1 - e^{-2xy/t}
+                rest.append((i, xi - c * ti, math.sqrt(ti), -2.0 * xi, ti))
+        if clamped:
+            warnings.warn(_CLAMPED, RuntimeWarning)
+        n_survived = len(rest)
+    else:
+        x = np.asarray(x, dtype=np.float64)
+        t = np.asarray(t, dtype=np.float64)
+        survived = rng.random(n) < survival_probability(x, t, params)
+        position = np.full(n, np.nan)
+        pending = survived.nonzero()[0]
+        n_survived = pending.size
+        # Per survivor, once: the proposal's mean and scale, and -2x and t of 1 - e^{-2xy/t}.
+        xs, ts = x[pending], t[pending]
+        mean, scale, m2x = xs - c * ts, np.sqrt(ts), -2.0 * xs
+        while pending.size > _FEW:
+            iters += 1
+            if iters > REJECTION_CAP:
+                raise RuntimeError("killed-step rejection sampler exceeded its proposal cap")
+            y = mean + scale * rng.standard_normal(pending.size)
+            u = rng.random(pending.size)
+            accept = (y > 0) & (u < -np.expm1(m2x * y / ts))
+            position[pending[accept]] = y[accept]
+            rejected = (~accept).nonzero()[0]
+            pending, mean, scale, m2x, ts = (a[rejected] for a in (pending, mean, scale, m2x, ts))
+        rest = list(zip(pending.tolist(), mean.tolist(), scale.tolist(), m2x.tolist(), ts.tolist()))
 
     # The last few pending particles: the same draws and float expressions
     # on Python floats, without a numpy dispatch per operation and round.
     # np.expm1, not math.expm1, whose last bit can differ from the array's.
-    rest = list(zip(pending.tolist(), mean.tolist(), scale.tolist(), m2x.tolist(), ts.tolist()))
     while rest:
         iters += 1
         if iters > REJECTION_CAP:
             raise RuntimeError("killed-step rejection sampler exceeded its proposal cap")
-        z, u = rng.standard_normal(len(rest)).tolist(), rng.random(len(rest)).tolist()
+        z, u = _draws(rng.standard_normal, len(rest)), _draws(rng.random, len(rest))
         left = []
         for row, zj, uj in zip(rest, z, u):
             i, mean_i, scale_i, m2x_i, t_i = row
             y = mean_i + scale_i * zj
-            if y > 0 and uj < -np.expm1(m2x_i * y / t_i):
+            # t = 0 is a step of length 0: e^{-2xy/t} = 0, as on arrays
+            if y > 0 and uj < -np.expm1(m2x_i * y / t_i if t_i else -math.inf):
                 position[i] = y
             else:
                 left.append(row)
@@ -183,9 +201,21 @@ def sample_killed_steps_batch(
     if n_survived < n:
         # One discarded uniform per absorbed particle, drawn after the
         # rejection loop: it keeps every run_replicate stream bit-identical
-        # (tests/test_engine.py pins them).
-        rng.random(n - n_survived)
-    return survived, position
+        # (tests/test_engine.py pins them).  One is a call with size None.
+        rng.random(n - n_survived if n - n_survived > 1 else None)
+    return np.asarray(survived, dtype=bool), np.asarray(position)
+
+
+def _draws(method, k: int, *args) -> list:
+    """k draws of the Generator method (args before its size) as Python
+    floats.  One draw is a call with size None: the value of a one-element
+    array draw at about a third of the cost."""
+    return [method(*args, None)] if k == 1 else method(*args, k).tolist()
+
+
+def _tolist(v) -> list:
+    """An array's entries as Python scalars; any other sequence as it is."""
+    return v.tolist() if isinstance(v, np.ndarray) else v
 
 
 def sample_hitting_time(x, params: ModelParams, rng: np.random.Generator, size: int | None = None):

@@ -4,6 +4,7 @@ schemas, seed handling, and byte-level determinism of reruns."""
 import argparse
 import csv
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -309,6 +310,63 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
     assert main(args) == 0
     for name, text in first.items():
         assert _read(str(out / name)) == text
+
+
+def _file_digests(out) -> dict[str, str]:
+    """sha256 of each file simulate wrote into out, the path of out masked."""
+    return {name: hashlib.sha256(_read(str(out / name)).replace(str(out), "<out>").encode()).hexdigest()
+            for name in sorted(os.listdir(out))}
+
+
+# Every file of two simulate runs, recorded before cohort phases of at most
+# _FEW particles ran on Python floats: the small-pop benchmark model at 300
+# replicates, and a law with p0 > 0 with a window and two counting sets.
+SIMULATE_GOLDEN = {
+    "small_pop": (["--c", "1.0", "--r", "0.6", "--offspring", "dyadic", "--threads", "1", "--x0", "1",
+                   "--horizon", "1", "--census-dt", "1", "--replicates", "300", "--seed", "1701"],
+                  {"censuses.csv": "278a9382acdf70ba1540a9a53a3c62229617bf467b95409770a4ac738460ae47",
+                   "config.json": "2fafb4db40255982521f9fc5b151a0bb60d2ba60f269f598dab04d92f8120b6c",
+                   "report.jsonl": "4e69cf74018594473873bdac4a390a87cafda50b38cbd5614c54d7d40e461e84",
+                   "summary.csv": "49505da19b881150358300142b91b056dd3d57bf44ab3901d027fc1f1d02c525"}),
+    "p0_window_sets": (["--c", "1", "--r", "1.5", "--offspring", "pmf:0.2,0.1,0.4,0.3", "--x0", "1",
+                        "--horizon", "3", "--census-dt", "1", "--trunc-M", "1.3", "--set", "0,1",
+                        "--set", "1,inf", "--replicates", "40", "--seed", "12"],
+                       {"censuses.csv": "4265f8cad1c9754232dc0262cf38c109c53c67baf780c771679f0a5e442108c5",
+                        "config.json": "fb410dc3559eb12edb536e334149bed6672087addbb257493e66443c650a3af9",
+                        "report.jsonl": "ab5743d521b9e3485ea4958c71a815a35bed7e4ad26167b3b15813afc2e16b55",
+                        "summary.csv": "a8a3fb7e994a3d373f1a6d3eb3b2e53fb92c851bcb22afe0f892d4dc3d37e4f6"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_GOLDEN))
+def test_simulate_files_golden(tmp_path, name):
+    args, digests = SIMULATE_GOLDEN[name]
+    out = tmp_path / name
+    assert main(["simulate", *args, "--out", str(out)]) == 0
+    assert _file_digests(out) == digests
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_simulate_far_from_origin_has_finite_D(tmp_path):
+    # h(800) overflows; D and mean_D take the ratio form instead of nan
+    out = tmp_path / "far"
+    assert main(["simulate", *SUPER, "--x0", "800", "--horizon", "2", "--census-dt", "1",
+                 "--replicates", "5", "--trunc-M", "1000", "--out", str(out)]) == 0
+    with open(out / "summary.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 2
+    for row in rows:
+        assert 0 < float(row["mean_D"]) < 10 and float(row["mean_D_trunc"]) == float(row["mean_D"])
+
+
+def test_phase_overflowing_horizon_is_trimmed(tmp_path):
+    # e^{gt} overflows at r = 40, horizon 1000: the cell runs to the desk
+    # horizon (about 0.21) instead of stopping with an error
+    out = tmp_path / "ph40"
+    assert main(["phase", *SUPER, "--c-grid", "1", "--r-grid", "40", "--x0", "1",
+                 "--horizon", "1000", "--replicates", "2", "--out", str(out)]) == 0
+    horizon = float(_read(str(out / "summary.csv")).splitlines()[1].split(",")[3])
+    assert 0.2 < horizon < 0.25
 
 
 def test_jsonl_format_skips_censuses(tmp_path):

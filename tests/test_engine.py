@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbma import engine
+from bbma import engine, kernel
 from bbma.engine import (
     CERTIFY_EPS,
     EventRecorder,
@@ -192,6 +192,86 @@ def test_dyadic_recorder_stream_pinned():
            _hex_digest(rec.times()))
     assert got == DYADIC_RECORDER_PIN
     assert rec.offspring().dtype == np.int64
+
+
+def _set_few(monkeypatch, few):
+    """Route every kernel call and cohort phase to the array path (few = 0)
+    or to Python floats (few = 10^9)."""
+    if few is not None:
+        monkeypatch.setattr(kernel, "_FEW", few)
+        monkeypatch.setattr(engine, "_FEW", few)
+
+
+@pytest.mark.parametrize("few", [0, 10**9])
+def test_pinned_streams_any_few(monkeypatch, few):
+    """The pinned streams, with every phase and killed step on arrays or
+    every one on Python floats."""
+    _set_few(monkeypatch, few)
+    for seed in PINNED_STREAMS:
+        test_replicate_stream_pinned(seed)
+    for certify in (False, True):
+        test_non_dyadic_stream_pinned(certify)
+    test_dyadic_recorder_stream_pinned()
+
+
+def _engine_digest(case) -> str:
+    """sha256 over every output of n replicates: status, counters, event
+    count, extinction bound, trace, every census field (checkpoint trees
+    included) and the EventRecorder's arrays, each array with its dtype."""
+    c, r, pmf, x0, horizon, grid, seed, n, kw = case
+    p = ModelParams(c, r, OffspringLaw.from_pmf(pmf))
+    h = hashlib.sha256()
+
+    def put(*items):
+        for v in items:
+            if isinstance(v, np.ndarray):
+                h.update(v.dtype.str.encode() + repr(v.shape).encode() + v.tobytes())
+            else:
+                h.update(repr(v).encode())
+
+    for i in range(n):
+        rec = EventRecorder() if kw.get("event_recorder") else None
+        res = run_replicate(p, x0, horizon, grid, spawn_rng_stream(seed, i), **{**kw, "event_recorder": rec})
+        put(res.status, res.n_events, sorted(res.counters.items()), res.extinction_bound,
+            res.trace.times, res.trace.d, res.trace.n_alive)
+        for cen in res.censuses:
+            put(cen.time, cen.alive_positions, cen.absorbed_count, cen.chk_slot, cen.chk_time,
+                cen.chk_pos, cen.chk_prev, cen.chk_block)
+        if rec is not None:
+            put(rec.waits(), rec.offspring(), rec.times())
+    return h.hexdigest()
+
+
+_MIXED_PMF = {0: 0.2, 1: 0.1, 2: 0.4, 3: 0.3}
+# (c, r, pmf, x0, horizon, census grid, master seed, replicates, keywords)
+# per engine branch, and each case's digest recorded before cohort phases
+# of at most _FEW particles ran on Python floats.  Populations range from
+# none (near_origin mostly dies at once) to 87 (cap_abort), so phases cross
+# _FEW both ways.
+ENGINE_DIGEST_CASES = {
+    "p0": ((1.0, 1.5, _MIXED_PMF, 1.0, 4.0, [0.0, 1.0, 2.5, 4.0], 11, 40, {}),
+           "092babf8d957b7d02bfe18ba84d6fb41d4e2b56dbe9762cc065faed5ffaa1851"),
+    "delta1": ((1.0, 1.5, {1: 1.0}, 1.0, 3.0, [1.0, 3.0], 12, 40, {}),
+               "cfe53a2962d23b4277020b449515c49b88bb42ae45f65b11d9293ed1a66074c1"),
+    "certified": ((1.0, 3.0, _MIXED_PMF, 1.0, 8.0, [2.0, 8.0], 13, 20, {"certify_survival": True}),
+                  "7ca854e26845522f79e67219b7fd0de18c8e834c1a2555a2c1c45585ec6c36c4"),
+    "cap_abort": ((1.0, 3.0, {2: 1.0}, 1.0, 4.0, [1.0, 2.0], 14, 20, {"population_cap": 300}),
+                  "5561d09092780e5b503e9c0d80b76f537beb7a6fe368451cc87dc20fc36c9570"),
+    "recorder": ((1.0, 1.5, {2: 1.0}, 1.0, 4.0, [1.25, 2.5], 15, 40, {"event_recorder": True}),
+                 "de029b8d8b9e4ae06befbe775c86248ea6af6ed82dfcf940b8526eba093b0749"),
+    "no_chains": ((1.0, 1.5, {0: 0.3, 2: 0.7}, 1.0, 4.0, [1.0, 4.0], 16, 40, {"checkpoint_chains": False}),
+                  "cb002c0a5d95dd6aa5897580e9d27070dfd5a881d807a1c86c037817e42d9324"),
+    "near_origin": ((3.0, 6.0, {2: 1.0}, 0.02, 0.1, [0.005, 0.02, 0.1], 17, 200, {}),
+                    "a81b136adaa00939d8a59dd05efe581977db158aef480980323cee04d8b991d9"),
+}
+
+
+@pytest.mark.parametrize("few", [None, 0, 10**9], ids=["default", "arrays", "floats"])
+@pytest.mark.parametrize("name", sorted(ENGINE_DIGEST_CASES))
+def test_engine_digest_pinned(monkeypatch, name, few):
+    _set_few(monkeypatch, few)
+    case, digest = ENGINE_DIGEST_CASES[name]
+    assert _engine_digest(case) == digest
 
 
 def test_replicates_independent_of_execution_order():
@@ -457,6 +537,37 @@ def test_martingale_mean_one():
         d[i] = res.trace.d[-1]
     se = d.std(ddof=1) / math.sqrt(n)
     assert abs(d.mean() - 1.0) < 3 * se, (d.mean(), se)
+
+
+def test_martingale_mean_one_far_from_origin():
+    # h(800) = 800 e^800 / sqrt(2 pi lambda^2) overflows, so D takes the
+    # ratio form sum (y/x0) e^{c(y - x0) - gt}: finite, with E[D_t] = 1
+    # within 3 sigma at each census (c=1, r=1.5, dyadic, n=2,000; the
+    # master seed was fixed before the first run).
+    p = params(r=1.5)
+    n = 2000
+    d = np.empty((n, 2))
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            res = run_replicate(p, 800.0, 2.0, [1.0, 2.0], spawn_rng_stream(800, i))
+            d[i] = res.trace.d
+            if i < 20:
+                np.testing.assert_array_equal(truncated_martingale(res.censuses, p, 800.0, math.inf), d[i])
+    assert np.all(np.isfinite(d)) and np.all(d > 0)
+    se = d.std(axis=0, ddof=1) / math.sqrt(n)
+    assert np.all(np.abs(d.mean(axis=0) - 1.0) < 3 * se), (d.mean(axis=0), se)
+
+
+def test_martingale_at_long_subcritical_horizon():
+    # e^{-gt} = e^{800} overflows at t = 4000 (g = -0.2): an extinct
+    # replicate's D is 0, and a particle at 100 from x0 = 900 has
+    # D = (100/900) e^{-800 + 800} in the ratio form
+    p = params(r=0.3)
+    res = run_replicate(p, 1.0, 4000.0, [4000.0], spawn_rng_stream(0, 0))
+    assert res.trace.n_alive[-1] == 0 and res.trace.d[-1] == 0.0
+    with np.errstate(over="ignore"):
+        d = engine._martingale(np.array([100.0]), 4000.0, p, 900.0, engine._h_start(900.0, p))
+    assert d == pytest.approx(100.0 / 900.0, rel=1e-12)
 
 
 def test_martingale_paired_increment():

@@ -358,6 +358,20 @@ def test_effective_horizon_stops_when_converged(monkeypatch):
     assert t == _effective_horizon_200(REF, 1.0, 100.0)
 
 
+def test_effective_horizon_treats_overflow_as_above_cap():
+    """At r = 40 the growth factor e^{gt} overflows for t > 18: the bisection
+    reads that as a population above the cap and ends at the desk horizon,
+    the last float where the expected count is within it."""
+    p = ModelParams(c=1.0, r=40.0, offspring=OffspringLaw.dyadic())
+    axis = IntervalSet.positive_axis()
+    with pytest.raises(OverflowError):
+        expected_count_asymptotic(1.0, 1000.0, axis, p)
+    t = experiments._effective_horizon(p, 1.0, 1000.0)
+    assert expected_count_asymptotic(1.0, t, axis, p) <= DESK_POP_CAP
+    assert expected_count_asymptotic(1.0, math.nextafter(t, math.inf), axis, p) > DESK_POP_CAP
+    assert experiments._effective_horizon(p, 1.0, 1.0) == t
+
+
 def test_phase_certifies_supercritical_survivors(phase_report):
     sub, sup = phase_report.aggregates["cells"]
     assert sub["certified"] == sub["undecided"] == sup["undecided"] == 0

@@ -157,6 +157,46 @@ def test_survival_clamp_warning_still_fires():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.array_equal(survival_probability(np.array([-1.0, 0.0, 2.0]), 0.0, p), [0.0, 0.0, 1.0])
+    # the killed step of one particle decides survival on Python floats: it
+    # warns as well, once per call, and draws what the array path draws
+    for n in (1, 3, kernel._FEW + 1):
+        x, t = np.full(n, -0.5), np.full(n, 1.0)
+        with pytest.warns(RuntimeWarning, match="cancellation beyond relative 1e-9") as caught:
+            got = sample_killed_steps_batch(x, t, p, np.random.default_rng(3))
+        assert len(caught) == 1
+        with pytest.warns(RuntimeWarning, match="cancellation beyond relative 1e-9"):
+            want = _killed_steps_reference(x, t, p, np.random.default_rng(3))
+        assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("few", [0, 10**9])
+def test_survival_of_infinite_start_is_one(monkeypatch, few):
+    """x = +inf survives with probability 1 at every t >= 0, without a
+    numpy warning (e^{2cx} Phi(-inf) is inf * 0), on both kernel paths."""
+    monkeypatch.setattr(kernel, "_FEW", few)
+    p = params()
+    t = np.array([0.0, 1e-6, 1.0, 1e3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(survival_probability(math.inf, t, p), np.ones(4))
+        assert survival_probability(math.inf, 0.0, p) == survival_probability(math.inf, 2.0, p) == 1.0
+        mixed = survival_probability(np.array([math.inf, 1.0]), 1.0, p)
+        assert mixed[0] == 1.0 and mixed[1] == survival_probability(1.0, 1.0, p)
+        survived, pos = sample_killed_steps_batch(np.full(4, math.inf), t, p, np.random.default_rng(1))
+    assert survived.all() and np.all(pos == math.inf)
+
+
+@pytest.mark.parametrize("n", [1, 3, 40])
+def test_zero_length_step_keeps_position(n):
+    """A step of length 0 survives where x > 0 and stays at x, with the
+    draws of any other step."""
+    p = params()
+    x = np.linspace(0.1, 3.0, n)
+    with np.errstate(divide="ignore"):   # -2xy/t on arrays
+        survived, pos = sample_killed_steps_batch(x, np.zeros(n), p, np.random.default_rng(4))
+        want = _killed_steps_reference(x, np.zeros(n), p, np.random.default_rng(4))
+    assert survived.all() and np.array_equal(pos, x)
+    assert np.array_equal(pos, want[1])
 
 
 # -- killed density / cdf ----------------------------------------------------
@@ -439,18 +479,50 @@ def test_rejection_cap_counts_every_round(monkeypatch):
         assert capped.rounds == rounds - 1
 
 
-def test_np_expm1_of_python_floats_equals_array_result():
-    """The rejection tail evaluates np.expm1 on Python floats; it must agree
-    bit for bit with the array loop.  math.expm1 is no substitute: where
-    numpy's expm1 is vectorized (x86-64 with AVX-512) it differs from the C
-    library's in the last bit, for 5,216 of 700,000 uniform arguments in
-    (-50, 0) with numpy 2.4."""
-    rng = np.random.default_rng(17)
-    args = np.concatenate([rng.uniform(-50.0, 0.0, 60_000),
+# Arguments in the range each ufunc sees on Python floats: expm1 in the
+# rejection test, ndtr, log_ndtr and exp in the survival probability.
+def _expm1_args(rng):
+    return np.concatenate([rng.uniform(-50.0, 0.0, 60_000),
                            -np.exp(rng.uniform(math.log(1e-14), math.log(50.0), 60_000))])
-    want = np.expm1(args)
-    got = np.array([np.expm1(a) for a in args.tolist()])
+
+
+def _wide_args(rng):
+    return np.concatenate([rng.uniform(-40.0, 40.0, 50_000),
+                           -np.exp(rng.uniform(math.log(1e-14), math.log(1e4), 50_000))])
+
+
+def _exp_args(rng):
+    return np.concatenate([rng.uniform(-750.0, 710.0, 50_000), rng.uniform(-2.0, 2.0, 50_000)])
+
+
+@pytest.mark.parametrize("ufunc, args", [(np.expm1, _expm1_args), (ndtr, _wide_args),
+                                         (log_ndtr, _wide_args), (np.exp, _exp_args)],
+                         ids=["expm1", "ndtr", "log_ndtr", "exp"])
+def test_ufunc_of_python_floats_equals_array_result(ufunc, args):
+    """The killed step of at most _FEW particles calls these ufuncs on
+    Python floats; each must agree bit for bit with the array result.
+    math.expm1 is no substitute for np.expm1: where numpy's expm1 is
+    vectorized (x86-64 with AVX-512) it differs from the C library's in the
+    last bit, for 5,216 of 700,000 uniform arguments in (-50, 0) with numpy
+    2.4."""
+    x = args(np.random.default_rng(17))
+    with np.errstate(over="ignore", under="ignore"):
+        want = ufunc(x)
+        got = np.array([ufunc(a) for a in x.tolist()])
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("method, args", [("random", ()), ("standard_normal", ()),
+                                          ("exponential", (1.0 / 0.6,))])
+def test_one_draw_equals_one_element_array_draw(method, args):
+    """kernel._draws takes one draw with size None: the same value, and the
+    same stream position afterwards, as a one-element array draw, on the
+    engine's Philox streams and on numpy's default generator."""
+    for r1, r2 in ((np.random.Generator(np.random.Philox(23)), np.random.Generator(np.random.Philox(23))),
+                   (np.random.default_rng(23), np.random.default_rng(23))):
+        for k in (1, 2, 1, 1, 5, 1):
+            assert kernel._draws(getattr(r1, method), k, *args) == getattr(r2, method)(*args, size=k).tolist()
+        assert r1.random() == r2.random()
 
 
 # -- sharp-asymptotics error bounds ------------------------------------------
