@@ -12,9 +12,11 @@ Censuses record everything the truncation windows J^M_s = [0, M(1 + s^{3/4}))
 need after the fact: the interval's checkpoints (its start points, branch
 events and census points, each with time and position) as a parent-pointer
 tree that stores each checkpoint once, however many particles descend from
-it, appended in blocks whose rows have their parents in earlier blocks.
-The first block, the tree's roots, is the previous census's particles in
-slot order, so the trees of successive censuses join into one genealogy.
+it, written block by block straight into growable columns (_Table), each
+row's parent in an earlier block, so the census copies no row.  The first
+block, the tree's roots, is the previous census's particles in slot order,
+so the trees of successive censuses join into one genealogy; alive_positions
+views the last block's positions.
 Window checks and per-segment escape factors accumulate down the trees, one
 pass per block, each tree's roots starting from the previous census's
 results.  A run records only what the run alone can observe (D_t and
@@ -27,7 +29,6 @@ probabilities of the path-continuous escape (window_escape_bounds).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,8 +44,11 @@ TIE_EPS = 1e-15
 # of eventual extinction is below this.
 CERTIFY_EPS = 1e-12
 _LOG_CERTIFY_EPS = math.log(CERTIFY_EPS)
+# ground_state_h without numpy's overflow warning: where h(x0) or the plain
+# sum of D overflows, _martingale takes its ratio form.
+_quiet_h = np.errstate(over="ignore")(ground_state_h)
 # h(x0), the normaliser of D; the replicates of a run share it.
-_h_start = functools.lru_cache(maxsize=16)(ground_state_h)
+_h_start = functools.lru_cache(maxsize=16)(_quiet_h)
 
 __all__ = [
     "Census",
@@ -176,11 +180,6 @@ class EventRecorder:
         return np.concatenate(self._times) if self._times else np.empty(0)
 
 
-def _filled(n: int, value, dtype=np.float64):
-    """n copies of value: a list for 1 to _FEW copies, else an array."""
-    return [value] * n if 0 < n <= _FEW else np.full(n, value, dtype)
-
-
 class _Cohort:
     """Particles of one replicate, one row per active particle (lists in _phase_few)."""
 
@@ -207,6 +206,53 @@ class _Cohort:
     def take(self, idx: np.ndarray) -> "_Cohort":
         """The rows idx (an index array or boolean mask)."""
         return _Cohort(self.pos[idx], self.chain[idx])
+
+
+class _Table:
+    """An interval's checkpoint tree while it grows: columns time, position
+    and parent row, Python lists up to _FEW rows and float64/float64/int64
+    arrays after, and the block offsets.  A block's time and prev are each a
+    column or one value for every row."""
+
+    __slots__ = ("cols", "block")
+    _DTYPES = (np.float64, np.float64, np.int64)
+
+    def __init__(self, t: float, pos: np.ndarray) -> None:
+        """A table whose roots are the particles at pos at time t."""
+        n = pos.size
+        self.block = [0, n]
+        if n <= _FEW:
+            self.cols = ([t] * n, pos.tolist(), [-1] * n)
+        else:
+            self.cols = (np.full(n, t), pos.copy(), np.full(n, -1, np.int64))
+
+    def append(self, time, pos, prev, spare: bool = True) -> int:
+        """Write one block of rows and return its first row.  An array column
+        grows to at least twice its length (spare), or else to the rows."""
+        a = self.block[-1]
+        b = a + len(pos)
+        self.block.append(b)
+        if isinstance(self.cols[0], list):
+            if b <= _FEW:
+                for col, v in zip(self.cols, (time, pos, prev)):
+                    col += [v] * (b - a) if isinstance(v, (int, float)) else _tolist(v)
+                return a
+            self.cols = tuple(map(np.array, self.cols, self._DTYPES))
+        for col, v in zip(self.cols, (time, pos, prev)):
+            if b > col.size or not spare:
+                # realloc moves a large column by remapping its pages, not
+                # by a copy beside it.  It would leave a view dangling, but
+                # none outlives this call: rows go in by slice assignment, and
+                # the columns leave the table only through close, resized last.
+                col.resize(max(b, 2 * col.size) if spare else b, refcheck=False)
+            col[a:b] = v
+        return a
+
+    def close(self, t: float, pos, prev) -> tuple[np.ndarray, ...]:
+        """Write the leaf block (pos at time t, parent rows prev) and return
+        the columns, trimmed to the rows, and the block offsets as arrays."""
+        self.append(t, pos, prev, spare=False)
+        return (*map(np.asarray, self.cols, self._DTYPES), np.array(self.block, np.int64))
 
 
 class _Run:
@@ -269,15 +315,14 @@ class _Run:
 
     # -- one inter-census interval ----------------------------------------
 
-    def _open_table(self, t: float, co: _Cohort) -> list | None:
-        """Start an interval's checkpoint table, a list of (time, position,
-        previous row) column blocks: co's particles at time t are its roots,
-        and each particle's chain points at its own root.  None without
-        checkpoint chains."""
+    def _open_table(self, t: float, co: _Cohort) -> _Table | None:
+        """Start an interval's checkpoint table: co's particles at time t are
+        its roots, and each particle's chain points at its own root.  None
+        without checkpoint chains."""
         if not self.keep_chains:
             return None
         co.chain = np.arange(co.size, dtype=np.int64)
-        return [(_filled(co.size, t), co.pos, _filled(co.size, -1, np.int64))]
+        return _Table(t, co.pos)
 
     def _advance(self, t_start: float, t_end: float):
         """Advance every active particle from t_start to t_end.
@@ -294,11 +339,10 @@ class _Run:
         parked: list[_Cohort] = []
         co = self.co
         table = self._open_table(t_start, co)
-        self.n_rows = co.size
 
         # Particles enter an interval synchronized at the previous census,
         # so every remaining-time starts at the full interval length.
-        rem = _filled(co.size, t_end - t_start)
+        rem = [t_end - t_start] * co.size if co.size <= _FEW else np.full(co.size, t_end - t_start)
         parked_log_q, n_scored = 0.0, 0
 
         while co.size:
@@ -362,9 +406,8 @@ class _Run:
             if table is None:
                 kids = _Cohort(child_pos, np.zeros(child_pos.size, np.int64))
             else:
-                table.append((t_end - rem_br + dt_br, pos_br, co.chain[br]))
-                kids = _Cohort(child_pos, np.repeat(self.n_rows + np.arange(br.size, dtype=np.int64), m))
-                self.n_rows += br.size
+                first = table.append(t_end - rem_br + dt_br, pos_br, co.chain[br])
+                kids = _Cohort(child_pos, np.repeat(first + np.arange(br.size, dtype=np.int64), m))
 
             at_boundary = child_rem <= 0.0
             if np.count_nonzero(at_boundary):
@@ -375,7 +418,7 @@ class _Run:
 
         return _Cohort.concat(parked), table
 
-    def _phase_few(self, co: _Cohort, rem, t_end: float, parked: list, table: list | None):
+    def _phase_few(self, co: _Cohort, rem, t_end: float, parked: list, table: _Table | None):
         """One cohort phase of _advance on Python lists, for at most _FEW
         particles: the same draws, float expressions and row order."""
         rng = self.rng
@@ -390,6 +433,7 @@ class _Run:
             stay = [i for i in live if E[i] > rem[i] + TIE_EPS]
             parked.append(_Cohort([y[i] for i in stay], [chain[i] for i in stay]))
         kids, kid_rem, at_end, rows = _Cohort([], []), [], _Cohort([], []), []
+        first = 0 if table is None else table.block[-1]  # the table's next row
         if not br:
             return kids, kid_rem
         counts = ([self.atom] * len(br) if self.law is None
@@ -398,7 +442,7 @@ class _Run:
             self.recorder.record([E[i] for i in br], counts, [t_end - rem[i] + dt[i] for i in br])
         for i, m in zip(br, counts):
             if m:
-                left, row = rem[i] - dt[i], self.n_rows + len(rows)
+                left, row = rem[i] - dt[i], first + len(rows)
                 rows.append((t_end - rem[i] + dt[i], y[i], chain[i]))
                 dest = kids if left > 0.0 else at_end
                 dest.pos += [y[i]] * m
@@ -408,8 +452,7 @@ class _Run:
         self.died_childless += len(br) - len(rows)
         self.created += kids.size + at_end.size
         if table is not None and rows:
-            table.append(tuple(zip(*rows)))
-            self.n_rows += len(rows)
+            table.append(*zip(*rows))
         if at_end.pos:
             parked.append(at_end)
         return kids, kid_rem
@@ -421,22 +464,18 @@ class _Run:
 
     # -- census assembly ---------------------------------------------------
 
-    def _emit_census(self, t_c: float, co: _Cohort, table: list | None) -> None:
+    def _emit_census(self, t_c: float, co: _Cohort, table: _Table | None) -> None:
         """Record co as the census at t_c and make it the next interval's
         cohort, whose slot order is the census's.  table is the interval's
         checkpoint table, which co's chains point into; the census closes it
-        with one leaf row per particle."""
+        with one leaf row per particle, whose read-only positions co views."""
         nslots = co.size
         chk_slot = chk_time = chk_pos = chk_prev = chk_block = None
         if table is not None:
-            table.append((_filled(nslots, t_c), co.pos, co.chain))
-            chk_block = np.array([0, *itertools.accumulate(len(block[0]) for block in table)], np.int64)
-            # One column at a time, each column's blocks released before the
-            # next is built.
-            columns = list(zip(*table))
-            table.clear()
-            chk_time, chk_pos, chk_prev = (np.concatenate(columns.pop(0)) for _ in range(3))
+            chk_time, chk_pos, chk_prev, chk_block = table.close(t_c, co.pos, co.chain)
             chk_slot = np.arange(chk_time.size - nslots, chk_time.size, dtype=np.int64)
+            chk_pos.flags.writeable = False
+            co = _Cohort(chk_pos[chk_pos.size - nslots:], co.chain)
         self.censuses.append(Census(
             time=t_c,
             alive_positions=co.pos,
@@ -561,8 +600,13 @@ def truncation_flags_for(censuses: list[Census], M: float, s: float = 0.0) -> li
     brackets the escape probability given the same checkpoints.  Needs
     checkpoint chains.
     """
-    return _fold_down(
-        censuses, lambda cen: cen.chk_pos < M * (1.0 + (s + cen.chk_time) ** 0.75), np.logical_and)
+    def inside(cen: Census) -> np.ndarray:
+        edge = np.add(s, cen.chk_time)  # M * (1.0 + (s + time) ** 0.75) in this one column
+        np.power(edge, 0.75, out=edge)
+        np.multiply(M, np.add(1.0, edge, out=edge), out=edge)
+        return np.less(cen.chk_pos, edge)
+
+    return _fold_down(censuses, inside, np.logical_and)
 
 
 def truncated_martingale(censuses: list[Census], params: ModelParams, x0: float,
@@ -589,7 +633,7 @@ def _martingale(pos, t: float, params: ModelParams, x0: float, h_x0: float, wher
     if not pos.size:
         return 0.0
     try:
-        d = float(ground_state_h(pos, params).sum(where=where)) * math.exp(-g * t) / h_x0
+        d = float(_quiet_h(pos, params).sum(where=where)) * math.exp(-g * t) / h_x0
     except OverflowError:
         d = math.inf
     if math.isfinite(d):

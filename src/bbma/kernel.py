@@ -36,6 +36,7 @@ _FEW = 16
 # Survival formula: warn if the Gaussian-difference cancellation exceeds this.
 CANCELLATION_REL_TOL = 1e-9
 _CLAMPED = "survival_probability: cancellation beyond relative 1e-9; clamping at 0"
+_BAD_STEP = "sample_killed_steps_batch: step lengths must be >= 0 (and not nan)"
 
 __all__ = [
     "survival_probability",
@@ -136,6 +137,7 @@ def sample_killed_steps_batch(x, t, params: ModelParams, rng: np.random.Generato
     probability; surviving positions come from the Gaussian-proposal
     rejection loop.  A call of at most _FEW particles runs on Python floats
     throughout, with the draws and float expressions of the array path.
+    A negative or nan step length raises ValueError.
     """
     n, c, iters = len(x), params.c, 0
     if n <= _FEW:
@@ -144,13 +146,15 @@ def sample_killed_steps_batch(x, t, params: ModelParams, rng: np.random.Generato
         survived, position, rest, clamped = [], [math.nan] * n, [], False
         for i, (xi, ti, u) in enumerate(zip(_tolist(x), _tolist(t), _draws(rng.random, n))):
             sp = float(xi > 0)
-            if ti != 0.0:
+            if ti > 0.0:
                 rt, ct = math.sqrt(ti), c * ti
                 first = float(ndtr((xi - ct) / rt))
                 sp = first - float(np.exp(2.0 * c * xi + float(log_ndtr(-(xi + ct) / rt))))
                 if not sp >= 0.0:  # negative, or nan where x = +inf (max keeps any other nan)
                     clamped = clamped or -sp > CANCELLATION_REL_TOL * first
                     sp = 1.0 if xi == math.inf else max(sp, 0.0)
+            elif ti != 0.0:  # negative or nan
+                raise ValueError(_BAD_STEP)
             survived.append(u < sp)
             if u < sp:  # the proposal's mean and scale, and -2x and t of 1 - e^{-2xy/t}
                 rest.append((i, xi - c * ti, math.sqrt(ti), -2.0 * xi, ti))
@@ -160,6 +164,8 @@ def sample_killed_steps_batch(x, t, params: ModelParams, rng: np.random.Generato
     else:
         x = np.asarray(x, dtype=np.float64)
         t = np.asarray(t, dtype=np.float64)
+        if not t.min(initial=math.inf) >= 0.0:  # nan fails too
+            raise ValueError(_BAD_STEP)
         survived = rng.random(n) < survival_probability(x, t, params)
         position = np.full(n, np.nan)
         pending = survived.nonzero()[0]

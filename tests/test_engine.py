@@ -1,5 +1,8 @@
 import hashlib
+import itertools
 import math
+import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -558,6 +561,28 @@ def test_martingale_mean_one_far_from_origin():
     assert np.all(np.abs(d.mean(axis=0) - 1.0) < 3 * se), (d.mean(axis=0), se)
 
 
+# D at x0 = 800 on the stream of test_martingale_mean_one_far_from_origin,
+# replicates 0-2, as float.hex, recorded while h(800)'s overflow still warned.
+FAR_START_D = [
+    ["0x1.8d0c0dff3e7f0p+0", "0x1.1007a9bd20ca2p+1"],
+    ["0x1.053f945a77439p-3", "0x1.1ed637200aba6p-2"],
+    ["0x1.3edff48bcde23p-2", "0x1.9182c31a0868ap-2"],
+]
+
+
+def test_far_start_keeps_D_without_warning():
+    # h(800) and the plain sum overflow quietly; the ratio form gives D
+    p = params(r=1.5)
+    engine._h_start.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, want in enumerate(FAR_START_D):
+            res = run_replicate(p, 800.0, 2.0, [1.0, 2.0], spawn_rng_stream(800, i))
+            assert [float(d).hex() for d in res.trace.d] == want
+            d_trunc = truncated_martingale(res.censuses, p, 800.0, 1e9)
+            assert [float(d).hex() for d in d_trunc] == want
+
+
 def test_martingale_at_long_subcritical_horizon():
     # e^{-gt} = e^{800} overflows at t = 4000 (g = -0.2): an extinct
     # replicate's D is 0, and a particle at 100 from x0 = 900 has
@@ -960,3 +985,167 @@ def test_tree_consumers_match_path_walk_at_extreme_inputs(x0, c, r, p0, gaps, fr
     for (lo, hi), (g_lo, g_hi) in zip(bounds, window_escape_bounds(res.censuses, M)):
         np.testing.assert_allclose(g_lo, lo, rtol=1e-12, atol=0)
         np.testing.assert_allclose(g_hi, hi, rtol=1e-12, atol=0)
+
+
+# -- checkpoint table assembly and memory ------------------------------------
+
+
+def _reference_filled(n, value, dtype=np.float64):
+    return [value] * n if 0 < n <= engine._FEW else np.full(n, value, dtype)
+
+
+class _BlockListTable:
+    """Reference for engine._Table: a list of (time, position, parent row)
+    column blocks, concatenated one column at a time when the census closes
+    it, as _open_table and _emit_census assembled every tree before rows
+    were written straight into columns."""
+
+    def __init__(self, t, pos):
+        n = len(pos)
+        self.blocks = [(_reference_filled(n, t), pos, _reference_filled(n, -1, np.int64))]
+
+    @property
+    def block(self):
+        return [0, *itertools.accumulate(len(block[0]) for block in self.blocks)]
+
+    def append(self, time, pos, prev):
+        first = self.block[-1]
+        self.blocks.append((time, pos, prev))
+        return first
+
+    def close(self, t, pos, prev):
+        self.blocks.append((_reference_filled(len(pos), t), pos, prev))
+        chk_block = np.array(self.block, np.int64)
+        columns = list(zip(*self.blocks))
+        self.blocks.clear()
+        return (*(np.concatenate(columns.pop(0)) for _ in range(3)), chk_block)
+
+
+class _GrowthCountingTable(engine._Table):
+    """engine._Table, counting per table how often its array columns grew."""
+
+    counts: list = []
+
+    def __init__(self, t, pos):
+        super().__init__(t, pos)
+        self.k = len(self.counts)
+        self.counts.append(0)
+
+    def append(self, time, pos, prev, spare=True):
+        size = self.cols[0].size if isinstance(self.cols[0], np.ndarray) else None
+        first = super().append(time, pos, prev, spare)
+        if spare and size is not None and self.cols[0].size > size:
+            self.counts[self.k] += 1
+        return first
+
+
+FEW = kernel._FEW
+_TABLE_CASES = {
+    **{name: case for name, (case, _) in ENGINE_DIGEST_CASES.items() if name != "no_chains"},
+    # a few rows per table: 1-3 particle cohorts
+    "small": (1.0, 0.6, {2: 1.0}, 1.0, 1.0, [0.5, 1.0], 18, 40, {}),
+    # tables of thousands of rows, grown many times
+    "big": (1.0, 1.5, {2: 1.0}, 1.0, 7.0, [0.0, 3.5, 7.0], 2, 4, {}),
+}
+
+
+@pytest.mark.parametrize("few", [None, 0, 10**9], ids=["default", "arrays", "floats"])
+@pytest.mark.parametrize("name", sorted(_TABLE_CASES))
+def test_tables_equal_block_list_reference(monkeypatch, name, few):
+    """Every census array equals the block-list assembly's, element by
+    element and in dtype, for tables that stay lists, cross _FEW rows
+    mid-interval and grow several times."""
+    _set_few(monkeypatch, few)
+    c, r, pmf, x0, horizon, grid, seed, n, kw = _TABLE_CASES[name]
+    p = ModelParams(c, r, OffspringLaw.from_pmf(pmf))
+    kw = {**kw, "event_recorder": EventRecorder() if kw.get("event_recorder") else None}
+    fields = ("alive_positions", "chk_slot", "chk_time", "chk_pos", "chk_prev", "chk_block")
+    monkeypatch.setattr(_GrowthCountingTable, "counts", [])
+    rows = set()
+    for i in range(n):
+        runs = []
+        for table in (_GrowthCountingTable, _BlockListTable):
+            monkeypatch.setattr(engine, "_Table", table)
+            runs.append(run_replicate(p, x0, horizon, grid, spawn_rng_stream(seed, i), **kw))
+        got, want = runs
+        assert len(got.censuses) == len(want.censuses)
+        for a, b in zip(got.censuses, want.censuses):
+            for f in fields:
+                x, y = getattr(a, f), getattr(b, f)
+                assert x.dtype == y.dtype, (f, x.dtype, y.dtype)
+                np.testing.assert_array_equal(x, y, err_msg=f)
+            rows.add(a.chk_time.size)
+    if name == "small":
+        assert max(rows) <= FEW
+    if name == "big":
+        assert min(rows) <= FEW < max(rows) and max(rows) > 1000
+        if few is None:
+            assert max(_GrowthCountingTable.counts) >= 3   # one table grew three times or more
+
+
+def test_alive_positions_view_read_only_leaf_rows():
+    """alive_positions views the leaf block of chk_pos, and both are
+    read-only, so no code path can write into one through the other: any
+    write raises (the consumers below, and every test, run on them)."""
+    res, p = busy_replicate()
+    for cen in res.censuses:
+        k = cen.alive_positions.size
+        assert cen.alive_positions.base is cen.chk_pos
+        np.testing.assert_array_equal(cen.alive_positions, cen.chk_pos[cen.chk_pos.size - k:])
+        for a in (cen.alive_positions, cen.chk_pos):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[:1] = 0
+    truncation_flags_for(res.censuses, 1.5, 2.0)
+    truncated_martingale(res.censuses, p, 1.0, 1.5)
+    window_escape_bounds(res.censuses, 1.5)
+    set_counts(res.censuses, [AXIS])
+
+
+def _memory_replicate():
+    """A replicate whose last checkpoint tree has 339,095 rows (133,180 alive)."""
+    p = params(r=1.5)
+    return run_replicate(p, 1.0, 10.5, [5.25, 10.5], spawn_rng_stream(2, 0))
+
+
+_SLACK = 64 * 1024   # bytes: Python objects and allocator rounding
+
+
+def test_window_fold_allocates_one_float_and_one_bool_column():
+    censuses = _memory_replicate().censuses
+    rows = max(cen.chk_time.size for cen in censuses)
+    assert rows >= 10**5
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        flags = truncation_flags_for(censuses, 1.3, 2.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the flags returned, plus one float64 and one bool entry per row
+    assert peak <= sum(f.nbytes for f in flags) + 9 * rows + _SLACK, (peak, rows)
+
+
+def test_closing_a_table_does_not_copy_its_rows(monkeypatch):
+    """While a census closes its tree, memory grows by at most the leaf
+    rows' own bytes (three columns and chk_slot), never by a second copy of
+    the rows the interval already holds."""
+    grew = []
+    emit = engine._Run._emit_census
+
+    def traced(self, t_c, co, table):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        emit(self, t_c, co, table)
+        grew.append((tracemalloc.get_traced_memory()[1] - base, self.censuses[-1]))
+
+    monkeypatch.setattr(engine._Run, "_emit_census", traced)
+    tracemalloc.start()
+    try:
+        _memory_replicate()
+    finally:
+        tracemalloc.stop()
+    assert max(cen.chk_time.size for _, cen in grew) >= 10**5
+    for peak, cen in grew:
+        leaves = cen.chk_slot.size
+        assert peak <= 32 * leaves + _SLACK, (peak, cen.chk_time.size, leaves)

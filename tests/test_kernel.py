@@ -199,6 +199,19 @@ def test_zero_length_step_keeps_position(n):
     assert np.array_equal(pos, want[1])
 
 
+@pytest.mark.parametrize("bad", [-0.5, math.nan])
+@pytest.mark.parametrize("n", [1, 17])
+def test_bad_step_length_raises_on_both_paths(n, bad):
+    """A negative or nan step length is refused alike by a call on Python
+    floats (n <= _FEW) and one on arrays, not absorbed or left to math.sqrt."""
+    t = np.full(n, 0.3)
+    t[-1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="step lengths must be >= 0"):
+            sample_killed_steps_batch(np.ones(n), t, params(), np.random.default_rng(5))
+
+
 # -- killed density / cdf ----------------------------------------------------
 
 
