@@ -295,6 +295,23 @@ def _emit(cfg: RunConfig, censuses_rows, censuses_header, summary_rows, summary_
 # -- subcommands -------------------------------------------------------------
 
 
+def _simulate_one(cfg: RunConfig, params: ModelParams, sets, grid, i: int) -> tuple[list, dict]:
+    """Replicate i's censuses.csv rows and report.jsonl record.  Its censuses
+    and checkpoint trees are freed on return, before the next replicate runs."""
+    res = run_replicate(params, cfg.x0, cfg.horizon, grid, spawn_rng_stream(cfg.seed, i))
+    times, alive, d = res.trace.times.tolist(), res.trace.n_alive.tolist(), res.trace.d.tolist()
+    d_trunc = d if cfg.truncation_M is None else truncated_martingale(
+        res.censuses, params, cfg.x0, cfg.truncation_M).tolist()
+    counts = set_counts(res.censuses, sets)
+    rows = [[i, t, a, cen.absorbed_count, *k, dj, dtj]
+            for t, a, cen, k, dj, dtj in zip(times, alive, res.censuses, counts, d, d_trunc)]
+    return rows, {
+        "replicate": i, "status": res.status,
+        "n_events": res.n_events, "counters": res.counters,
+        "times": times, "alive": alive, "D": d, "D_trunc": d_trunc, "counts": counts,
+    }
+
+
 def cmd_simulate(cfg: RunConfig) -> int:
     params = cfg.params()
     sets = cfg.interval_sets()
@@ -304,19 +321,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
     crows: list[list] = []
     records: list[dict] = []
     for i in range(n):
-        res = run_replicate(params, cfg.x0, cfg.horizon, grid, spawn_rng_stream(cfg.seed, i))
-        times, alive, d = res.trace.times.tolist(), res.trace.n_alive.tolist(), res.trace.d.tolist()
-        d_trunc = d if cfg.truncation_M is None else truncated_martingale(
-            res.censuses, params, cfg.x0, cfg.truncation_M).tolist()
-        counts = set_counts(res.censuses, sets)
-        for t, a, cen, k, dj, dtj in zip(times, alive, res.censuses, counts, d, d_trunc):
-            crows.append([i, t, a, cen.absorbed_count, *k, dj, dtj])
-        records.append({
-            "replicate": i, "status": res.status,
-            "n_events": res.n_events, "counters": res.counters,
-            "times": times, "alive": alive, "D": d, "D_trunc": d_trunc, "counts": counts,
-        })
-        del res  # free this replicate's censuses and checkpoint trees before the next runs
+        rows, rec = _simulate_one(cfg, params, sets, grid, i)
+        crows += rows
+        records.append(rec)
 
     set_cols = [f"count_B{k+1}" for k in range(len(sets))]
     cheader = ["replicate", "time", "alive", "absorbed", *set_cols, "D", "D_trunc"]

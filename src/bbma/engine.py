@@ -632,12 +632,13 @@ def _martingale(pos, t: float, params: ModelParams, x0: float, h_x0: float, wher
     g = params.growth_exponent
     if not pos.size:
         return 0.0
-    try:
-        d = float(_quiet_h(pos, params).sum(where=where)) * math.exp(-g * t) / h_x0
-    except OverflowError:
-        d = math.inf
-    if math.isfinite(d):
-        return d
+    if math.isfinite(h_x0):  # else a finite sum / inf would read as D = 0
+        try:
+            d = float(_quiet_h(pos, params).sum(where=where)) * math.exp(-g * t) / h_x0
+        except OverflowError:
+            d = math.inf
+        if math.isfinite(d):
+            return d
     return float(np.sum(pos / x0 * np.exp(params.c * (pos - x0) - g * t), where=where))
 
 

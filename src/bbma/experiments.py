@@ -164,9 +164,11 @@ def _require_supercritical(params: ModelParams, what: str) -> None:
 
 
 def _replicates(params: ModelParams, x0: float, horizon: float, grid, n: int, seed: int,
-                first: int = 0, **kw):
-    """An iterator over run_replicate for replicates first .. first + n - 1,
-    in order; n < 1 raises ValueError at once, before any replicate runs.
+                keep, first: int = 0, **kw):
+    """An iterator over keep(run_replicate(...)) for replicates first ..
+    first + n - 1, in order; n < 1 raises ValueError at once, before any
+    replicate runs.  Only what keep returns reaches the caller, so a
+    replicate's censuses and checkpoint trees are freed before the next runs.
 
     Replicate i draws spawn_rng_stream(seed, i), so an experiment's replicate
     j uses stream j, and phase cell k passes first = k n to use streams
@@ -176,8 +178,18 @@ def _replicates(params: ModelParams, x0: float, horizon: float, grid, n: int, se
     """
     if not n >= 1:
         raise ValueError(f"an experiment needs at least one replicate, got n = {n}")
-    return (run_replicate(params, x0, horizon, grid, spawn_rng_stream(seed, i), **kw)
+    return (keep(run_replicate(params, x0, horizon, grid, spawn_rng_stream(seed, i), **kw))
             for i in range(first, first + n))
+
+
+def _records(kept) -> tuple[list[dict], int]:
+    """The records {"replicate": i, **rec} of the (n_events, rec) pairs that
+    keep returned for replicates 0, 1, ..., and their total n_events."""
+    records, n_events = [], 0
+    for i, (n_ev, rec) in enumerate(kept):
+        records.append({"replicate": i, **rec})
+        n_events += n_ev
+    return records, n_events
 
 
 def _decided(records: list[dict], key: str, shape: tuple) -> np.ndarray:
@@ -219,8 +231,19 @@ def experiment_kesten(
     _require_supercritical(params, "Kesten experiment")
     B_list = [B if isinstance(B, IntervalSet) else IntervalSet.parse(B) for B in B_list]
     grid = [horizon * k / 4.0 for k in (1, 2, 3, 4)]
+
+    def keep(res) -> tuple[int, dict]:
+        return res.n_events, {
+            "status": res.status,
+            "n_events": res.n_events,
+            "alive": res.trace.n_alive.tolist(),
+            "absorbed": [cen.absorbed_count for cen in res.censuses],
+            "D": res.trace.d.tolist(),
+            "counts": set_counts(res.censuses, B_list),
+        }
+
     # made first, so that n < 1 raises before the feasibility verdict
-    reps = _replicates(params, x0, horizon, grid, n_replicates, seed, checkpoint_chains=False)
+    reps = _replicates(params, x0, horizon, grid, n_replicates, seed, keep, checkpoint_chains=False)
     feasible = expected_count_asymptotic(x0, horizon, IntervalSet.positive_axis(), params) <= DESK_POP_CAP
     thresholds = {
         "median_abs_gap_final_max": load_thresholds()["kesten"]["median_abs_gap_final"],
@@ -238,19 +261,7 @@ def experiment_kesten(
     ])
     nuB = np.array([nu_measure(B, params) for B in B_list])
 
-    n_events = 0
-    records = []
-    for i, res in enumerate(reps):
-        n_events += res.n_events
-        records.append({
-            "replicate": i,
-            "status": res.status,
-            "n_events": res.n_events,
-            "alive": res.trace.n_alive.tolist(),
-            "absorbed": [cen.absorbed_count for cen in res.censuses],
-            "D": res.trace.d.tolist(),
-            "counts": set_counts(res.censuses, B_list),
-        })
+    records, n_events = _records(reps)
     R = _decided(records, "counts", (len(grid), len(B_list))) / denom[:, None]
     D = _decided(records, "D", (len(grid),))
     alive = _decided(records, "alive", (len(grid),))
@@ -320,16 +331,15 @@ def experiment_empirical_qsd(
         "median_ks_final_max": load_thresholds()["qsd"]["median_ks_final"],
     }
 
-    n_events = 0
-    records = []
-    for i, res in enumerate(_replicates(params, x0, horizon, grid, n_replicates, seed,
-                                        checkpoint_chains=False)):
-        n_events += res.n_events
-        records.append({
-            "replicate": i, "status": res.status, "alive": res.trace.n_alive.tolist(),
+    def keep(res) -> tuple[int, dict]:
+        return res.n_events, {
+            "status": res.status, "alive": res.trace.n_alive.tolist(),
             "ks": [(_ks_distance(c.alive_positions, params) if c.alive_positions.size else math.nan)
                    for c in res.censuses],
-        })
+        }
+
+    records, n_events = _records(_replicates(params, x0, horizon, grid, n_replicates, seed, keep,
+                                             checkpoint_chains=False))
     ks = _decided(records, "ks", (len(grid),))          # NaN if extinct
     alive = _decided(records, "alive", (len(grid),))
 
@@ -390,13 +400,12 @@ def experiment_martingale(
         "mean_one_sigmas": 3.0,
     }
 
-    n_events = 0
-    records = []
-    for i, res in enumerate(_replicates(params, x0, grid[-1], grid, n, seed,
-                                        checkpoint_chains=False)):
-        n_events += res.n_events
-        records.append({"replicate": i, "status": res.status, "D": res.trace.d.tolist(),
-                        "alive": res.trace.n_alive.tolist()})
+    def keep(res) -> tuple[int, dict]:
+        return res.n_events, {"status": res.status, "D": res.trace.d.tolist(),
+                              "alive": res.trace.n_alive.tolist()}
+
+    records, n_events = _records(_replicates(params, x0, grid[-1], grid, n, seed, keep,
+                                             checkpoint_chains=False))
     D = _decided(records, "D", (len(grid),))
     alive = _decided(records, "alive", (len(grid),))
 
@@ -486,13 +495,10 @@ def experiment_truncation(
     ec = expected_count(x0, horizon, B, params)
     scale = math.exp(-params.growth_exponent * horizon) / ground_state_h(x0, params)
 
-    n_events = 0
-    records = []
-    for i, res in enumerate(_replicates(params, x0, horizon, [horizon], n, seed)):
-        n_events += res.n_events
-        records.append({"replicate": i, "status": res.status})
+    def keep(res) -> tuple[int, dict]:
+        rec = {"status": res.status}
         if res.status == "population_cap_exceeded":
-            continue
+            return res.n_events, rec
         final = res.censuses[-1]
         hvals = ground_state_h(final.alive_positions, params)
         g = np.empty((4, len(M_list)))  # rows: D lower, D upper, N lower, N upper
@@ -500,11 +506,14 @@ def experiment_truncation(
             lo, hi = window_escape_bounds(res.censuses, M)[-1]
             g[:, j] = (np.dot(hvals, lo) * scale, np.dot(hvals, hi) * scale,
                        lo.sum() / ec, hi.sum() / ec)
-        records[-1].update(
+        rec.update(
             gap_D=(0.5 * (g[0] + g[1])).tolist(), gap_N=(0.5 * (g[2] + g[3])).tolist(),
             gap_D_lower=g[0].tolist(), gap_D_upper=g[1].tolist(),
             gap_N_lower=g[2].tolist(), gap_N_upper=g[3].tolist(),
             alive=int(final.alive_positions.size))
+        return res.n_events, rec
+
+    records, n_events = _records(_replicates(params, x0, horizon, [horizon], n, seed, keep))
     ends = ("gap_D_lower", "gap_D_upper", "gap_N_lower", "gap_N_upper")
     gaps = np.stack([_decided(records, end, (len(M_list),)) for end in ends], axis=1)
     mid = {key: _decided(records, "gap_" + key, (len(M_list),)) for key in ("D", "N")}
@@ -605,12 +614,15 @@ def experiment_phase_diagram(
             h_eff = _effective_horizon(params, x0, horizon) if super_cell else float(horizon)
             cell_index = ci * len(r_grid) + ri
             alive = certified = undecided = 0
-            for res in _replicates(params, x0, h_eff, [h_eff], n, seed, cell_index * n,
-                                   checkpoint_chains=False, certify_survival=super_cell):
-                n_events += res.n_events
-                alive += bool(res.status == "ok" and res.trace.n_alive[-1] > 0)
-                certified += res.status == "certified_survival"
-                undecided += res.status == "population_cap_exceeded"
+            for n_ev, status, alive_at_end in _replicates(
+                    params, x0, h_eff, [h_eff], n, seed,
+                    lambda res: (res.n_events, res.status,
+                                 bool(res.status == "ok" and res.trace.n_alive[-1] > 0)),
+                    cell_index * n, checkpoint_chains=False, certify_survival=super_cell):
+                n_events += n_ev
+                alive += alive_at_end
+                certified += status == "certified_survival"
+                undecided += status == "population_cap_exceeded"
             survived = alive + certified
             freq = survived / n
             cell = {
@@ -818,8 +830,8 @@ def suite_branching_stats(params: ModelParams, n: int, seed: int) -> dict:
 
     recorder = EventRecorder()
     j = 0
-    for _ in _replicates(params, x0, h, [], max(64, 4 * n), seed, event_recorder=recorder,
-                         population_cap=30_000_000, checkpoint_chains=False):
+    for _ in _replicates(params, x0, h, [], max(64, 4 * n), seed, lambda res: None,
+                         event_recorder=recorder, population_cap=30_000_000, checkpoint_chains=False):
         j += 1
         if recorder.n_events >= n:
             break

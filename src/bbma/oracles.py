@@ -121,14 +121,22 @@ def expected_count(x: float, t: float, B: IntervalSet, params: ModelParams) -> f
     """E|N_t(B)| by the first-moment identity, in closed form (rel. tol 1e-8).
 
     Each interval's killed mass is a difference of Phi terms (_killed_mass),
-    with no quadrature; B=(0,inf) is the survival probability.
+    with no quadrature; B=(0,inf) is the survival probability.  Where the
+    growth factor e^{mt} overflows, the product is exp(mt + log mass).
     """
     if not (0 < x < math.inf and 0 < t < math.inf):
         raise ValueError("expected_count requires x>0 and t>0")
-    growth = math.exp(params.r * (params.offspring.mu1 - 1.0) * t)
+    mt = params.r * (params.offspring.mu1 - 1.0) * t
     if B.intervals == ((0.0, math.inf),):
-        return growth * float(survival_probability(x, t, params))
-    return growth * sum(float(_killed_mass(x, lo, hi, t, params)) for lo, hi in B.intervals)
+        mass = float(survival_probability(x, t, params))
+    else:
+        mass = sum(float(_killed_mass(x, lo, hi, t, params)) for lo, hi in B.intervals)
+    try:
+        return math.exp(mt) * mass
+    except OverflowError:
+        if mass > 0:
+            return math.exp(mt + math.log(mass))
+        raise
 
 
 def expected_count_asymptotic(x: float, t: float, B: IntervalSet, params: ModelParams) -> float:

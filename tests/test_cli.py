@@ -9,8 +9,11 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 import bbma
 from bbma import experiments
 from bbma.cli import RunConfig, UsageError, _make_parser, main, parse_config
+from bbma.engine import truncated_martingale
 from bbma.experiments import experiment_kesten, verify_samplers
 from bbma.model import ModelParams, OffspringLaw
 from bbma.oracles import expected_count
@@ -344,6 +348,61 @@ def test_simulate_files_golden(tmp_path, name):
     out = tmp_path / name
     assert main(["simulate", *args, "--out", str(out)]) == 0
     assert _file_digests(out) == digests
+
+
+def test_simulate_frees_each_replicate_before_the_next_runs(tmp_path, monkeypatch):
+    # Nothing of a replicate's result, its censuses or their checkpoint trees,
+    # may still be alive while simulate runs the next replicate.
+    refs, live = [], []
+    run = bbma.cli.run_replicate
+
+    def traced(*args, **kw):
+        live.append(sum(ref() is not None for ref in refs))
+        res = run(*args, **kw)
+        refs.extend(weakref.ref(obj) for cen in res.censuses for obj in (cen, cen.chk_pos))
+        return res
+
+    monkeypatch.setattr(bbma.cli, "run_replicate", traced)
+    assert main(["simulate", *SUPER, "--horizon", "3", "--census-dt", "1", "--trunc-M", "2",
+                 "--replicates", "5", "--seed", "4", "--out", str(tmp_path / "run")]) == 0
+    assert len(live) == 5 and len(refs) == 5 * 2 * 3
+    assert live == [0] * 5
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_peak_is_one_replicates_peak(tmp_path):
+    # Memory guard: simulate holds one replicate's data at a time, so its
+    # traced peak stays within the largest replicate's own traced peak plus
+    # half of that replicate's last checkpoint tree.  Seed 0 was picked as the
+    # first seed whose two largest replicates (by last-tree rows) are adjacent
+    # and within a factor two, before any peak was measured: replicates 1 and 2.
+    params = ModelParams(1.0, 1.5, OffspringLaw.dyadic())
+    grid = [2.5, 5.0, 7.5, 10.0]
+    trees = []
+
+    def one(i):
+        res = bbma.run_replicate(params, 2.0, 10.0, grid, bbma.spawn_rng_stream(0, i))
+        truncated_martingale(res.censuses, params, 2.0, 2.0)
+        last = res.censuses[-1]
+        trees.append(sum(a.nbytes for a in (last.chk_time, last.chk_pos, last.chk_prev,
+                                            last.chk_slot, last.chk_block)))
+
+    peaks = [_traced_peak(functools.partial(one, i)) for i in range(4)]
+    big = int(np.argmax(trees))
+    assert sorted(np.argsort(trees)[-2:]) == [1, 2] and big == int(np.argmax(peaks))
+    out = str(tmp_path / "run")
+    peak = _traced_peak(lambda: main(["simulate", *SUPER, "--x0", "2", "--horizon", "10",
+                                      "--census-dt", "2.5", "--trunc-M", "2", "--replicates", "4",
+                                      "--seed", "0", "--out", out]))
+    assert peak < peaks[big] + trees[big] // 2
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")

@@ -583,6 +583,25 @@ def test_far_start_keeps_D_without_warning():
             assert [float(d).hex() for d in d_trunc] == want
 
 
+def test_martingale_overflowing_start_with_finite_sum():
+    # h(800) overflows but h(700) does not: a finite sum over inf read as
+    # D = 0; the ratio form gives (700/800) e^{-100}
+    p = params(r=1.5)
+    d = engine._martingale(np.array([700.0]), 0.0, p, 800.0, engine._h_start(800.0, p))
+    assert d == pytest.approx(700.0 / 800.0 * math.exp(-100.0), rel=1e-12, abs=0.0)
+
+
+def test_delta1_far_start_drifts_into_finite_h():
+    # One particle from x0 = 800 to t = 400 ends near 400, where the plain sum
+    # h(y) e^{-gt} (g = -1/2) is finite though h(x0) is not
+    p = params(r=1.5, offspring=DELTA1)
+    res = run_replicate(p, 800.0, 400.0, [400.0], spawn_rng_stream(0, 0))
+    (y,) = res.censuses[-1].alive_positions.tolist()
+    assert 300.0 < y < 600.0
+    want = (y / 800.0) * math.exp(p.c * (y - 800.0) - p.growth_exponent * 400.0)
+    assert res.trace.d[-1] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_martingale_at_long_subcritical_horizon():
     # e^{-gt} = e^{800} overflows at t = 4000 (g = -0.2): an extinct
     # replicate's D is 0, and a particle at 100 from x0 = 900 has

@@ -6,6 +6,7 @@ fail)."""
 import functools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -461,23 +462,42 @@ def test_cap_abort_is_undecided_and_left_out(monkeypatch, name):
     assert not rep.passed
 
 
-EMPTY = {
-    "kesten": lambda: experiment_kesten(REF, 1.0, ["1,inf"], 4.0, 0, 3),
-    "qsd": lambda: experiment_empirical_qsd(REF, 1.0, 4.0, 0, 3),
-    "martingale": lambda: experiment_martingale(REF, 1.0, [1.0, 2.0], [1.0], 0, 3),
-    "truncation": lambda: experiment_truncation(REF, 1.0, 4.0, [1.5, 2.0, 3.0], 0, 3),
-    "phase": lambda: experiment_phase_diagram([1.0], [0.3, 1.5], OffspringLaw.dyadic(), 1.0, 4.0, 0, 3),
+RUNS = {  # each experiment at n replicates
+    "kesten": lambda n: experiment_kesten(REF, 1.0, ["1,inf"], 4.0, n, 3),
+    "qsd": lambda n: experiment_empirical_qsd(REF, 1.0, 4.0, n, 3),
+    "martingale": lambda n: experiment_martingale(REF, 1.0, [1.0, 2.0], [1.0], n, 3),
+    "truncation": lambda n: experiment_truncation(REF, 1.0, 4.0, [1.5, 2.0, 3.0], n, 3),
+    "phase": lambda n: experiment_phase_diagram([1.0], [0.3, 1.5], OffspringLaw.dyadic(), 1.0, 4.0, n, 3),
 }
 
 
-@pytest.mark.parametrize("name", sorted(EMPTY))
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_zero_replicates_refused_before_any_run(monkeypatch, name):
     def no_run(*args, **kw):
         raise AssertionError("a replicate ran")
 
     monkeypatch.setattr(experiments, "run_replicate", no_run)
     with pytest.raises(ValueError, match="at least one replicate, got n = 0"):
-        EMPTY[name]()
+        RUNS[name](0)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_each_replicate_freed_before_the_next_runs(monkeypatch, name):
+    # Nothing of a replicate's result, its censuses or their checkpoint trees,
+    # may still be alive while the experiment runs the next replicate.
+    refs, live = [], []
+
+    def traced(*args, **kw):
+        live.append(sum(ref() is not None for ref in refs))
+        res = run_replicate(*args, **kw)
+        refs.extend(weakref.ref(obj) for cen in res.censuses
+                    for obj in (cen, cen.chk_pos) if obj is not None)
+        return res
+
+    monkeypatch.setattr(experiments, "run_replicate", traced)
+    RUNS[name](4)
+    assert len(live) >= 4 and refs
+    assert live == [0] * len(live)
 
 
 # ---------------------------------------------------------------------------

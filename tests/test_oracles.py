@@ -86,6 +86,19 @@ def test_expected_count_matches_quadrature(x, t, spec, ref):
     assert expected_count(x, t, IntervalSet.parse(spec), params()) == pytest.approx(ref, rel=1e-8)
 
 
+def test_expected_count_overflowing_growth_factor():
+    # e^{750} overflows, the count (about 3e213) does not; the split order
+    # e^{375} (e^{375} S) is an independent route to the same product
+    p = params(r=1.5)
+    B = IntervalSet.parse("0,1;2,inf")
+    for mass, got in ((float(survival_probability(1.0, 500.0, p)), expected_count(1.0, 500.0, AXIS, p)),
+                      (sum(float(oracles._killed_mass(1.0, lo, hi, 500.0, p)) for lo, hi in B.intervals),
+                       expected_count(1.0, 500.0, B, p))):
+        assert got == pytest.approx(math.exp(375.0) * (math.exp(375.0) * mass), rel=1e-13, abs=0.0)
+    # where e^{mt} is finite, the value keeps the bits of the plain product
+    assert expected_count(1.0, 400.0, AXIS, p) == math.exp(600.0) * float(survival_probability(1.0, 400.0, p))
+
+
 def test_expected_count_empty_set():
     assert expected_count(1.0, 1.0, IntervalSet.empty(), params()) == 0.0
     assert expected_count_asymptotic(1.0, 1.0, IntervalSet.empty(), params()) == 0.0
