@@ -506,7 +506,7 @@ def main(argv=None) -> int:
         args = _make_parser().parse_args(argv)
         cfg = _build_config(args)
         return _COMMANDS[args.command](cfg)
-    except UsageError as e:
+    except ValueError as e:  # a UsageError, or an input a command refuses
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OverflowError as e:

@@ -135,23 +135,25 @@ def _ks_distance(positions: np.ndarray, params: ModelParams) -> float:
     return float(np.max(np.maximum(i / n - F, F - (i - 1) / n)))
 
 
+def _within_desk(params: ModelParams, x0: float, t: float) -> bool:
+    """Whether the expected population at t is at most DESK_POP_CAP."""
+    try:
+        return expected_count_asymptotic(x0, t, IntervalSet.positive_axis(), params) <= DESK_POP_CAP
+    except OverflowError:  # e^{gt} beyond the float range: far above the cap
+        return False
+
+
 def _effective_horizon(params: ModelParams, x0: float, horizon: float) -> float:
     """Largest t <= horizon with expected population within desk scale."""
-    def within(t: float) -> bool:
-        try:
-            return expected_count_asymptotic(x0, t, IntervalSet.positive_axis(), params) <= DESK_POP_CAP
-        except OverflowError:  # e^{gt} beyond the float range: far above the cap
-            return False
-
     t = float(horizon)
-    if within(t):
+    if _within_desk(params, x0, t):
         return t
     lo, hi = 1e-3, t
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # lo and hi are adjacent floats: nothing moves again
             break
-        if within(mid):
+        if _within_desk(params, x0, mid):
             lo = mid
         else:
             hi = mid
@@ -161,6 +163,11 @@ def _effective_horizon(params: ModelParams, x0: float, horizon: float) -> float:
 def _require_supercritical(params: ModelParams, what: str) -> None:
     if classify_regime(params) not in (Regime.SUPERCRITICAL, Regime.L2_SUPERCRITICAL):
         raise ValueError(f"{what} requires a supercritical configuration")
+
+
+def _require_replicates(n: int) -> None:
+    if not n >= 1:
+        raise ValueError(f"an experiment needs at least one replicate, got n = {n}")
 
 
 def _replicates(params: ModelParams, x0: float, horizon: float, grid, n: int, seed: int,
@@ -176,26 +183,9 @@ def _replicates(params: ModelParams, x0: float, horizon: float, grid, n: int, se
     and its engine suite to seed + 3.)  run_replicate is looked up as this
     module's global at every call, so rebinding that name reaches the engine.
     """
-    if not n >= 1:
-        raise ValueError(f"an experiment needs at least one replicate, got n = {n}")
+    _require_replicates(n)
     return (keep(run_replicate(params, x0, horizon, grid, spawn_rng_stream(seed, i), **kw))
             for i in range(first, first + n))
-
-
-def _records(kept) -> tuple[list[dict], int]:
-    """The records {"replicate": i, **rec} of the (n_events, rec) pairs that
-    keep returned for replicates 0, 1, ..., and their total n_events."""
-    records, n_events = [], 0
-    for i, (n_ev, rec) in enumerate(kept):
-        records.append({"replicate": i, **rec})
-        n_events += n_ev
-    return records, n_events
-
-
-def _decided(records: list[dict], key: str, shape: tuple) -> np.ndarray:
-    """rec[key] (of this shape) stacked over the replicates not stopped by the cap."""
-    rows = [rec[key] for rec in records if rec["status"] != "population_cap_exceeded"]
-    return np.array(rows).reshape(-1, *shape)
 
 
 def _note_undecided(out: dict, undecided: int, passed: bool) -> bool:
@@ -206,6 +196,47 @@ def _note_undecided(out: dict, undecided: int, passed: bool) -> bool:
         note = f"{undecided} replicates hit the population cap without a verdict"
         out["message"] = f"{out['message']}; {note}" if "message" in out else note
     return passed and not undecided
+
+
+def _census_experiment(name: str, config: dict, thresholds: dict, params: ModelParams, x0: float,
+                       grid, n: int, seed: int, keep, judge, **kw) -> ExperimentReport:
+    """Run replicates 0 .. n-1 to grid[-1], censused at grid, and judge them.
+
+    Replicate i's record is {"replicate": i, "status": ..., **keep(result)}.
+    judge(col) returns (aggregates, passed), where col(key, *shape) stacks
+    record[key], of that shape, over the replicates that the population cap
+    did not stop; those it did stop are kept as records and counted by
+    _note_undecided.
+    """
+    records, n_events = [], 0
+    kept = _replicates(params, x0, grid[-1], grid, n, seed,
+                       lambda res: (res.n_events, {"status": res.status, **keep(res)}), **kw)
+    for i, (n_ev, rec) in enumerate(kept):
+        records.append({"replicate": i, **rec})
+        n_events += n_ev
+    decided = [rec for rec in records if rec["status"] != "population_cap_exceeded"]
+
+    def col(key: str, *shape: int) -> np.ndarray:
+        return np.array([rec[key] for rec in decided]).reshape(-1, *shape)
+
+    aggregates, passed = judge(col)
+    passed = _note_undecided(aggregates, len(records) - len(decided), passed)
+    return ExperimentReport(name=name, config=config, replicate_records=records, aggregates=aggregates,
+                            thresholds=thresholds, passed=passed, n_events=n_events)
+
+
+def _census_rows(grid, alive: np.ndarray, row) -> dict:
+    """{"per_census": rows, "n_survivors_final": count} for the census grid.
+    Row j holds the time, the surviving fraction and row(j, m), with m the
+    mask of the replicates alive at census j.  With no survivor at the last
+    census, a message says so, and the contract must fail."""
+    surv = alive > 0
+    per_census = [{"time": t, "surviving_fraction": _mean_se(surv[:, j].astype(float)),
+                   **row(j, surv[:, j])} for j, t in enumerate(grid)]
+    out = {"per_census": per_census, "n_survivors_final": int(surv[:, -1].sum())}
+    if not out["n_survivors_final"]:
+        out["message"] = "no replicate survived to the horizon; raise r or x0"
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +261,27 @@ def experiment_kesten(
     """
     _require_supercritical(params, "Kesten experiment")
     B_list = [B if isinstance(B, IntervalSet) else IntervalSet.parse(B) for B in B_list]
+    if not B_list:
+        raise ValueError("B_list must not be empty")
+    _require_replicates(n_replicates)  # before the feasibility verdict
     grid = [horizon * k / 4.0 for k in (1, 2, 3, 4)]
+    thresholds = {
+        "median_abs_gap_final_max": load_thresholds()["kesten"]["median_abs_gap_final"],
+        "significance": SIGNIFICANCE,
+    }
+    if not _within_desk(params, x0, horizon):
+        return ExperimentReport(
+            name="kesten", config=_echo(params, x0=x0, horizon=horizon, n=n_replicates, seed=seed),
+            aggregates={"message": f"expected population exceeds {DESK_POP_CAP:g}; infeasible at desk scale"},
+            thresholds=thresholds, passed=False,
+        )
+    denom = np.array([
+        expected_count_asymptotic(x0, t, IntervalSet.positive_axis(), params) for t in grid
+    ])
+    nuB = np.array([nu_measure(B, params) for B in B_list])
 
-    def keep(res) -> tuple[int, dict]:
-        return res.n_events, {
-            "status": res.status,
+    def keep(res) -> dict:
+        return {
             "n_events": res.n_events,
             "alive": res.trace.n_alive.tolist(),
             "absorbed": [cen.absorbed_count for cen in res.censuses],
@@ -242,73 +289,34 @@ def experiment_kesten(
             "counts": set_counts(res.censuses, B_list),
         }
 
-    # made first, so that n < 1 raises before the feasibility verdict
-    reps = _replicates(params, x0, horizon, grid, n_replicates, seed, keep, checkpoint_chains=False)
-    feasible = expected_count_asymptotic(x0, horizon, IntervalSet.positive_axis(), params) <= DESK_POP_CAP
-    thresholds = {
-        "median_abs_gap_final_max": load_thresholds()["kesten"]["median_abs_gap_final"],
-        "significance": SIGNIFICANCE,
-    }
-    if not feasible:
-        return ExperimentReport(
-            name="kesten", config=_echo(params, x0=x0, horizon=horizon, n=n_replicates, seed=seed),
-            aggregates={"message": f"expected population exceeds {DESK_POP_CAP:g}; infeasible at desk scale"},
-            thresholds=thresholds, passed=False,
-        )
+    def judge(col) -> tuple[dict, bool]:
+        R = col("counts", len(grid), len(B_list)) / denom[:, None]
+        D = col("D", len(grid))
+        gaps = np.abs(R - nuB[None, None, :] * D[:, :, None])
 
-    denom = np.array([
-        expected_count_asymptotic(x0, t, IntervalSet.positive_axis(), params) for t in grid
-    ])
-    nuB = np.array([nu_measure(B, params) for B in B_list])
-
-    records, n_events = _records(reps)
-    R = _decided(records, "counts", (len(grid), len(B_list))) / denom[:, None]
-    D = _decided(records, "D", (len(grid),))
-    alive = _decided(records, "alive", (len(grid),))
-
-    gaps = np.abs(R - nuB[None, None, :] * D[:, :, None])
-    surv = alive > 0
-    per_census = []
-    for j, t in enumerate(grid):
-        m = surv[:, j]
-        row = {
-            "time": t,
-            "surviving_fraction": _mean_se(m.astype(float)),
-            "sets": {},
-        }
-        for k, B in enumerate(B_list):
-            row["sets"][B.spec_string()] = {
+        def sets(j: int, m: np.ndarray) -> dict:
+            return {"sets": {B.spec_string(): {
                 "mean_abs_gap": _mean_se(gaps[m, j, k]),
                 "median_abs_gap": _median(gaps[m, j, k]),
                 "mean_R_minus_pred_all": _mean_se(R[:, j, k] - nuB[k] * D[:, j]),
-            }
-        per_census.append(row)
+            } for k, B in enumerate(B_list)}}
 
-    n_survivors_final = int(surv[:, -1].sum())
-    aggregates = {"per_census": per_census, "n_survivors_final": n_survivors_final}
-    if n_survivors_final == 0:
-        aggregates["message"] = "no replicate survived to the horizon; raise r or x0"
-        passed = False
-    else:
+        aggregates = _census_rows(grid, col("alive", len(grid)), sets)
+        if not aggregates["n_survivors_final"]:
+            return aggregates, False
         key = B_list[0].spec_string()
-        final = per_census[-1]["sets"][key]
-        mid = per_census[1]["sets"][key]
-        passed = (
+        final = aggregates["per_census"][-1]["sets"][key]
+        mid = aggregates["per_census"][1]["sets"][key]
+        aggregates["judged_set"] = key
+        return aggregates, (
             final["median_abs_gap"]["value"] <= thresholds["median_abs_gap_final_max"]
             and final["mean_abs_gap"]["value"] < mid["mean_abs_gap"]["value"]
         )
-        aggregates["judged_set"] = key
-    passed = _note_undecided(aggregates, len(records) - len(D), passed)
-    return ExperimentReport(
-        name="kesten",
-        config=_echo(params, x0=x0, horizon=horizon, n=n_replicates, seed=seed,
-                     sets=[B.spec_string() for B in B_list]),
-        replicate_records=records,
-        aggregates=aggregates,
-        thresholds=thresholds,
-        passed=passed,
-        n_events=n_events,
-    )
+
+    config = _echo(params, x0=x0, horizon=horizon, n=n_replicates, seed=seed,
+                   sets=[B.spec_string() for B in B_list])
+    return _census_experiment("kesten", config, thresholds, params, x0, grid, n_replicates, seed,
+                              keep, judge, checkpoint_chains=False)
 
 
 # ---------------------------------------------------------------------------
@@ -331,48 +339,27 @@ def experiment_empirical_qsd(
         "median_ks_final_max": load_thresholds()["qsd"]["median_ks_final"],
     }
 
-    def keep(res) -> tuple[int, dict]:
-        return res.n_events, {
-            "status": res.status, "alive": res.trace.n_alive.tolist(),
-            "ks": [(_ks_distance(c.alive_positions, params) if c.alive_positions.size else math.nan)
-                   for c in res.censuses],
-        }
+    def keep(res) -> dict:
+        return {"alive": res.trace.n_alive.tolist(),
+                "ks": [(_ks_distance(c.alive_positions, params) if c.alive_positions.size else math.nan)
+                       for c in res.censuses]}
 
-    records, n_events = _records(_replicates(params, x0, horizon, grid, n_replicates, seed, keep,
-                                             checkpoint_chains=False))
-    ks = _decided(records, "ks", (len(grid),))          # NaN if extinct
-    alive = _decided(records, "alive", (len(grid),))
-
-    per_census = []
-    for j, t in enumerate(grid):
-        m = alive[:, j] > 0
-        per_census.append({
-            "time": t,
-            "surviving_fraction": _mean_se((alive[:, j] > 0).astype(float)),
+    def judge(col) -> tuple[dict, bool]:
+        ks = col("ks", len(grid))  # NaN if extinct
+        aggregates = _census_rows(grid, col("alive", len(grid)), lambda j, m: {
             "median_ks": _median(ks[m, j]),
             "mean_ks": _mean_se(ks[m, j]),
         })
-    med = [row["median_ks"]["value"] for row in per_census]
-    n_surv_final = int((alive[:, -1] > 0).sum())
-    aggregates = {"per_census": per_census, "n_survivors_final": n_surv_final}
-    if n_surv_final == 0:
-        aggregates["message"] = "no replicate survived to the horizon; raise r or x0"
-        passed = False
-    else:
-        passed = (
-            med[-1] <= thresholds["median_ks_final_max"]
+        med = [row["median_ks"]["value"] for row in aggregates["per_census"]]
+        return aggregates, (
+            aggregates["n_survivors_final"] > 0
+            and med[-1] <= thresholds["median_ks_final_max"]
             and med[-1] < med[-2] < med[-3]
         )
-    passed = _note_undecided(aggregates, len(records) - len(ks), passed)
-    return ExperimentReport(
-        name="qsd",
-        config=_echo(params, x0=x0, horizon=horizon, n=n_replicates, seed=seed),
-        replicate_records=records,
-        aggregates=aggregates,
-        thresholds=thresholds,
-        passed=passed,
-        n_events=n_events,
-    )
+
+    config = _echo(params, x0=x0, horizon=horizon, n=n_replicates, seed=seed)
+    return _census_experiment("qsd", config, thresholds, params, x0, grid, n_replicates, seed,
+                              keep, judge, checkpoint_chains=False)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +380,8 @@ def experiment_martingale(
     near-zero D at the last horizon against a frozen pilot value."""
     _require_supercritical(params, "martingale experiment")
     grid = sorted(float(t) for t in horizons)
+    if not grid:
+        raise ValueError("horizons must not be empty")
     K_list = sorted(float(k) for k in K_list)
     thresholds = {
         "small_d_fraction_max": load_thresholds()["martingale"]["small_d_fraction"],
@@ -400,51 +389,40 @@ def experiment_martingale(
         "mean_one_sigmas": 3.0,
     }
 
-    def keep(res) -> tuple[int, dict]:
-        return res.n_events, {"status": res.status, "D": res.trace.d.tolist(),
-                              "alive": res.trace.n_alive.tolist()}
+    def keep(res) -> dict:
+        return {"D": res.trace.d.tolist(), "alive": res.trace.n_alive.tolist()}
 
-    records, n_events = _records(_replicates(params, x0, grid[-1], grid, n, seed, keep,
-                                             checkpoint_chains=False))
-    D = _decided(records, "D", (len(grid),))
-    alive = _decided(records, "alive", (len(grid),))
+    def judge(col) -> tuple[dict, bool]:
+        D = col("D", len(grid))
+        mean_d = {f"{t:g}": _mean_se(D[:, j]) for j, t in enumerate(grid)}
+        # With se = 0 (every D equal), z is 0 at a mean of exactly 1 and inf otherwise.
+        zsc = {t: abs(v["value"] - 1.0) / v["stderr"] if v["stderr"] else 0.0 if v["value"] == 1.0
+               else math.inf for t, v in mean_d.items()}
+        extinct_final = col("alive", len(grid))[:, -1] == 0
+        # extinct => empty h-sum => D identically zero
+        extinct_d_zero = bool(np.all(D[extinct_final, -1] == 0.0)) if extinct_final.any() else True
+        tail = {f"{K:g}": _mean_se(D[:, -1] * (D[:, -1] > K)) for K in K_list}
+        surv = ~extinct_final
+        small_frac = _mean_se((D[surv, -1] < thresholds["small_d_cut"]).astype(float))
+        aggregates = {
+            "mean_D": mean_d,
+            "mean_one_z": {t: float(z) for t, z in zsc.items()},
+            "tail_mass_final": tail,
+            "small_d_fraction_survivors": small_frac,
+            "surviving_fraction_final": _mean_se(surv.astype(float)),
+            "extinct_d_exactly_zero": extinct_d_zero,
+        }
+        tail_vals = [tail[f"{K:g}"]["value"] for K in K_list]
+        return aggregates, (
+            all(z <= thresholds["mean_one_sigmas"] for z in zsc.values())
+            and extinct_d_zero
+            and all(a >= b for a, b in zip(tail_vals, tail_vals[1:]))
+            and (small_frac["n"] > 0 and small_frac["value"] <= thresholds["small_d_fraction_max"])
+        )
 
-    mean_d = {f"{t:g}": _mean_se(D[:, j]) for j, t in enumerate(grid)}
-    # With se = 0 (every D equal), z is 0 at a mean of exactly 1 and inf otherwise.
-    zsc = {t: abs(v["value"] - 1.0) / v["stderr"] if v["stderr"] else 0.0 if v["value"] == 1.0
-           else math.inf for t, v in mean_d.items()}
-    extinct_final = alive[:, -1] == 0
-    # extinct => empty h-sum => D identically zero
-    extinct_d_zero = bool(np.all(D[extinct_final, -1] == 0.0)) if extinct_final.any() else True
-    tail = {f"{K:g}": _mean_se(D[:, -1] * (D[:, -1] > K)) for K in K_list}
-    surv = ~extinct_final
-    small = D[surv, -1] < thresholds["small_d_cut"]
-    small_frac = _mean_se(small.astype(float))
-    aggregates = {
-        "mean_D": mean_d,
-        "mean_one_z": {t: float(z) for t, z in zsc.items()},
-        "tail_mass_final": tail,
-        "small_d_fraction_survivors": small_frac,
-        "surviving_fraction_final": _mean_se(surv.astype(float)),
-        "extinct_d_exactly_zero": extinct_d_zero,
-    }
-    tail_vals = [tail[f"{K:g}"]["value"] for K in K_list]
-    passed = (
-        all(z <= thresholds["mean_one_sigmas"] for z in zsc.values())
-        and extinct_d_zero
-        and all(a >= b for a, b in zip(tail_vals, tail_vals[1:]))
-        and (small_frac["n"] > 0 and small_frac["value"] <= thresholds["small_d_fraction_max"])
-    )
-    passed = _note_undecided(aggregates, len(records) - len(D), passed)
-    return ExperimentReport(
-        name="martingale",
-        config=_echo(params, x0=x0, horizons=grid, K_list=K_list, n=n, seed=seed),
-        replicate_records=records,
-        aggregates=aggregates,
-        thresholds=thresholds,
-        passed=passed,
-        n_events=n_events,
-    )
+    config = _echo(params, x0=x0, horizons=grid, K_list=K_list, n=n, seed=seed)
+    return _census_experiment("martingale", config, thresholds, params, x0, grid, n, seed,
+                              keep, judge, checkpoint_chains=False)
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +468,16 @@ def experiment_truncation(
     log_fit_slope report the worse end.
     """
     M_list = sorted(float(M) for M in M_list)
+    if not M_list:
+        raise ValueError("M_list must not be empty")
     thresholds = {"log_fit_r2_min": load_thresholds()["truncation"]["log_fit_r2_min"]}
     B = IntervalSet.positive_axis()
     ec = expected_count(x0, horizon, B, params)
     scale = math.exp(-params.growth_exponent * horizon) / ground_state_h(x0, params)
 
-    def keep(res) -> tuple[int, dict]:
-        rec = {"status": res.status}
+    def keep(res) -> dict:
         if res.status == "population_cap_exceeded":
-            return res.n_events, rec
+            return {}
         final = res.censuses[-1]
         hvals = ground_state_h(final.alive_positions, params)
         g = np.empty((4, len(M_list)))  # rows: D lower, D upper, N lower, N upper
@@ -506,61 +485,54 @@ def experiment_truncation(
             lo, hi = window_escape_bounds(res.censuses, M)[-1]
             g[:, j] = (np.dot(hvals, lo) * scale, np.dot(hvals, hi) * scale,
                        lo.sum() / ec, hi.sum() / ec)
-        rec.update(
+        return dict(
             gap_D=(0.5 * (g[0] + g[1])).tolist(), gap_N=(0.5 * (g[2] + g[3])).tolist(),
             gap_D_lower=g[0].tolist(), gap_D_upper=g[1].tolist(),
             gap_N_lower=g[2].tolist(), gap_N_upper=g[3].tolist(),
             alive=int(final.alive_positions.size))
-        return res.n_events, rec
 
-    records, n_events = _records(_replicates(params, x0, horizon, [horizon], n, seed, keep))
-    ends = ("gap_D_lower", "gap_D_upper", "gap_N_lower", "gap_N_upper")
-    gaps = np.stack([_decided(records, end, (len(M_list),)) for end in ends], axis=1)
-    mid = {key: _decided(records, "gap_" + key, (len(M_list),)) for key in ("D", "N")}
+    def judge(col) -> tuple[dict, bool]:
+        ends = ("gap_D_lower", "gap_D_upper", "gap_N_lower", "gap_N_upper")
+        gaps = np.stack([col(end, len(M_list)) for end in ends], axis=1)
+        mid = {key: col("gap_" + key, len(M_list)) for key in ("D", "N")}
+        monotone = bool(np.all(np.diff(gaps, axis=2) <= 1e-12))
 
-    monotone = bool(np.all(np.diff(gaps, axis=2) <= 1e-12))
+        def summarize(key: str, lo_row: int) -> list[dict]:
+            out = []
+            for j in range(len(M_list)):
+                row = _mean_se(mid[key][:, j])
+                row["lower"] = _mean_se(gaps[:, lo_row, j])["value"]
+                row["upper"] = _mean_se(gaps[:, lo_row + 1, j])["value"]
+                row["width"] = row["upper"] - row["lower"]
+                out.append(row)
+            return out
 
-    def summarize(key: str, lo_row: int) -> list[dict]:
-        out = []
-        for j in range(len(M_list)):
-            row = _mean_se(mid[key][:, j])
-            row["lower"] = _mean_se(gaps[:, lo_row, j])["value"]
-            row["upper"] = _mean_se(gaps[:, lo_row + 1, j])["value"]
-            row["width"] = row["upper"] - row["lower"]
-            out.append(row)
-        return out
+        mean_gd = summarize("D", 0)
+        mean_gn = summarize("N", 2)
+        fits = {end: dict(zip(("r2", "slope"), _log_quadratic_fit(M_list, [m[end] for m in mean_gd])))
+                for end in ("lower", "upper")}
+        r2s = [f["r2"] for f in fits.values()]
+        slopes = [f["slope"] for f in fits.values()]
+        defined = not any(math.isnan(v) for v in r2s)
+        aggregates = {
+            "M_list": M_list,
+            "mean_gap_D": mean_gd,
+            "mean_gap_N": mean_gn,
+            "pointwise_monotone": monotone,
+            "log_fit": fits,
+            "log_fit_r2": min(r2s) if defined else math.nan,
+            "log_fit_slope": max(slopes) if defined else math.nan,
+        }
+        return aggregates, (
+            monotone
+            and defined
+            and max(slopes) < 0
+            and min(r2s) >= thresholds["log_fit_r2_min"]
+        )
 
-    mean_gd = summarize("D", 0)
-    mean_gn = summarize("N", 2)
-    fits = {end: dict(zip(("r2", "slope"), _log_quadratic_fit(M_list, [m[end] for m in mean_gd])))
-            for end in ("lower", "upper")}
-    r2s = [f["r2"] for f in fits.values()]
-    slopes = [f["slope"] for f in fits.values()]
-    defined = not any(math.isnan(v) for v in r2s)
-    aggregates = {
-        "M_list": M_list,
-        "mean_gap_D": mean_gd,
-        "mean_gap_N": mean_gn,
-        "pointwise_monotone": monotone,
-        "log_fit": fits,
-        "log_fit_r2": min(r2s) if defined else math.nan,
-        "log_fit_slope": max(slopes) if defined else math.nan,
-    }
-    passed = _note_undecided(aggregates, len(records) - len(gaps), (
-        monotone
-        and defined
-        and max(slopes) < 0
-        and min(r2s) >= thresholds["log_fit_r2_min"]
-    ))
-    return ExperimentReport(
-        name="truncation",
-        config=_echo(params, x0=x0, horizon=horizon, M_list=M_list, n=n, seed=seed),
-        replicate_records=records,
-        aggregates=aggregates,
-        thresholds=thresholds,
-        passed=passed,
-        n_events=n_events,
-    )
+    config = _echo(params, x0=x0, horizon=horizon, M_list=M_list, n=n, seed=seed)
+    return _census_experiment("truncation", config, thresholds, params, x0, [horizon], n, seed,
+                              keep, judge)
 
 
 # ---------------------------------------------------------------------------

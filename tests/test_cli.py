@@ -259,6 +259,13 @@ def test_unwritable_out_exit_1(tmp_path, capsys):
     assert "cannot write to output directory" in capsys.readouterr().err
 
 
+def test_kesten_not_supercritical_exit_1(tmp_path, capsys):
+    # the experiment's ValueError is one error line, not a traceback
+    out = tmp_path / "out"
+    assert main(["kesten", "--c", "1", "--r", "0.3", "--offspring", "dyadic", "--out", str(out)]) == 1
+    _assert_usage_error(capsys, out, "Kesten experiment requires a supercritical configuration")
+
+
 def test_contract_failure_exit_2(tmp_path):
     # horizon 1 leaves the supercritical cell without a meaningful survival
     # test, so the phase contract fails without any statistical noise

@@ -4,6 +4,7 @@ verification suites (including the corruption fixture that proves they can
 fail)."""
 
 import functools
+import hashlib
 import json
 import math
 import weakref
@@ -116,6 +117,18 @@ def test_kesten_desk_cap_refusal():
     assert "infeasible" in rep.aggregates["message"]
     assert rep.replicate_records == []
     assert expected_count_asymptotic(1.0, 20.0, IntervalSet.positive_axis(), REF) > DESK_POP_CAP
+
+
+def test_kesten_overflowing_horizon_is_infeasible(monkeypatch):
+    # e^{gt} overflows at t = 1000: far above the desk cap, not an error
+    def no_run(*args, **kw):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(experiments, "run_replicate", no_run)
+    rep = experiment_kesten(REF, 1.0, ["1,inf"], 1000.0, 5, 3)
+    assert not rep.passed
+    assert "infeasible at desk scale" in rep.aggregates["message"]
+    assert rep.replicate_records == []
 
 
 def test_kesten_zero_survivors_message():
@@ -481,6 +494,23 @@ def test_zero_replicates_refused_before_any_run(monkeypatch, name):
         RUNS[name](0)
 
 
+EMPTY_LISTS = {  # each experiment with the named list argument empty
+    "B_list": lambda: experiment_kesten(REF, 1.0, [], 4.0, 3, 3),
+    "horizons": lambda: experiment_martingale(REF, 1.0, [], [1.0], 3, 3),
+    "M_list": lambda: experiment_truncation(REF, 1.0, 4.0, [], 3, 3),
+}
+
+
+@pytest.mark.parametrize("arg", sorted(EMPTY_LISTS))
+def test_empty_argument_list_refused_before_any_run(monkeypatch, arg):
+    def no_run(*args, **kw):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(experiments, "run_replicate", no_run)
+    with pytest.raises(ValueError, match=f"{arg} must not be empty"):
+        EMPTY_LISTS[arg]()
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_each_replicate_freed_before_the_next_runs(monkeypatch, name):
     # Nothing of a replicate's result, its censuses or their checkpoint trees,
@@ -498,6 +528,34 @@ def test_each_replicate_freed_before_the_next_runs(monkeypatch, name):
     RUNS[name](4)
     assert len(live) >= 4 and refs
     assert live == [0] * len(live)
+
+
+# The exact bits of each census experiment's report: sha256 of
+# json.dumps(canonical_dict(), sort_keys=True) at 8 replicates, and once with
+# a cap of 100 particle-steps that stops some replicates.  A regression pin,
+# not a statistical test: any change to a stream or an aggregate moves it.
+CENSUS_PINS = {
+    "kesten": (lambda: experiment_kesten(REF, 1.0, ["0,1", "1,inf"], 4.0, 8, 101),
+               "965adc8c3b905dde527dd5ed8d1a323f7fe721c6b24344ce009c4384be727f17"),
+    "qsd": (lambda: experiment_empirical_qsd(REF, 1.0, 4.0, 8, 102),
+            "8e941e8ade35f887d64badd237d37c60149c677c3b0205a9cc724b51ad6f4363"),
+    "martingale": (lambda: experiment_martingale(REF, 1.0, [4.0, 2.0], [1.0, 3.0], 8, 103),
+                   "498db36cf4f1132b90969777d72a0167dd80ee1896140f03dd4245b234ba98ed"),
+    "truncation": (lambda: experiment_truncation(REF, 0.5, 3.0, [0.9, 1.2, 1.5], 8, 104),
+                   "25c0ad447cfcbc9515338db12bdf88ed47cd590d3674d185e17b17a8d5c8c514"),
+    "kesten_capped": (lambda: experiment_kesten(REF, 1.0, ["1,inf"], 4.0, 8, 3),
+                      "5a1a46b1f083e7889c0ee87c311d20084c77eb7426d337ffdb26a948428ccf86"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_PINS))
+def test_census_experiment_bits_pinned(monkeypatch, name):
+    if name.endswith("_capped"):
+        monkeypatch.setattr(experiments, "run_replicate",
+                            functools.partial(run_replicate, population_cap=100))
+    run, digest = CENSUS_PINS[name]
+    text = json.dumps(run().canonical_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
