@@ -392,21 +392,23 @@ def cmd_kesten(cfg: RunConfig) -> int:
     sets = cfg.interval_sets() or (IntervalSet.parse("1,inf"),)
     n = cfg.replicates if cfg.replicates is not None else 2000
     report = experiment_kesten(params, cfg.x0, list(sets), cfg.horizon, n, cfg.seed)
+    if "per_census" not in report.aggregates:  # infeasible: refused before any replicate ran
+        message = report.aggregates["message"]
+        _emit(cfg, None, None, [[message]], ["message"],
+              [{"message": message, "config": report.config, "passed": report.passed}])
+        return 2
 
-    crows = None
-    cheader = None
-    if "per_census" in report.aggregates:
-        grid = [row["time"] for row in report.aggregates["per_census"]]
-        crows = []
-        for rec in report.replicate_records:  # a cap abort has fewer censuses
-            cols = zip(grid, rec["alive"], rec["absorbed"], rec["counts"], rec["D"])
-            for t, alive, absorbed, counts, d in cols:
-                crows.append([rec["replicate"], t, alive, absorbed, *counts, d, d])
-        cheader = ["replicate", "time", "alive", "absorbed",
-                   *[f"count_B{k+1}" for k in range(len(sets))], "D", "D_trunc"]
+    grid = [row["time"] for row in report.aggregates["per_census"]]
+    crows = []
+    for rec in report.replicate_records:  # a cap abort has fewer censuses
+        cols = zip(grid, rec["alive"], rec["absorbed"], rec["counts"], rec["D"])
+        for t, alive, absorbed, counts, d in cols:
+            crows.append([rec["replicate"], t, alive, absorbed, *counts, d, d])
+    cheader = ["replicate", "time", "alive", "absorbed",
+               *[f"count_B{k+1}" for k in range(len(sets))], "D", "D_trunc"]
 
     srows = []
-    for row in report.aggregates.get("per_census", []):
+    for row in report.aggregates["per_census"]:
         for key, agg in row["sets"].items():
             srows.append([
                 row["time"], key,

@@ -269,9 +269,11 @@ def experiment_kesten(
         "median_abs_gap_final_max": load_thresholds()["kesten"]["median_abs_gap_final"],
         "significance": SIGNIFICANCE,
     }
+    config = _echo(params, x0=x0, horizon=horizon, n=n_replicates, seed=seed,
+                   sets=[B.spec_string() for B in B_list])
     if not _within_desk(params, x0, horizon):
         return ExperimentReport(
-            name="kesten", config=_echo(params, x0=x0, horizon=horizon, n=n_replicates, seed=seed),
+            name="kesten", config=config,
             aggregates={"message": f"expected population exceeds {DESK_POP_CAP:g}; infeasible at desk scale"},
             thresholds=thresholds, passed=False,
         )
@@ -313,8 +315,6 @@ def experiment_kesten(
             and final["mean_abs_gap"]["value"] < mid["mean_abs_gap"]["value"]
         )
 
-    config = _echo(params, x0=x0, horizon=horizon, n=n_replicates, seed=seed,
-                   sets=[B.spec_string() for B in B_list])
     return _census_experiment("kesten", config, thresholds, params, x0, grid, n_replicates, seed,
                               keep, judge, checkpoint_chains=False)
 

@@ -11,12 +11,17 @@ Everything here is in closed form or exact-sampling form:
 The killed-step sampler is exact for any step length: survival is decided by
 the closed-form probability and the surviving position by rejection from the
 free Gaussian proposal (the acceptance probability 1 - e^{-2xy/t} is the
-probability that a Brownian bridge from x to y stays positive).  A call of
-at most _FEW particles, and the rejection rounds once at most _FEW are
-pending, run on Python floats: the same draws in the same order and the same
-float expressions, each ufunc called on one float, where numpy and scipy
-return its array result bit for bit.  Unconditional hitting times are
-inverse-Gaussian draws via Generator.wald.
+probability that a Brownian bridge from x to y stays positive).  On arrays
+of at least _SQUEEZE_MIN particles, survival is decided in blocks of _BLOCK
+particles by a squeeze test: the image term e^{2cx} Phi(-w) = phi(z) R(w),
+with R Mills' ratio, lies between Gordon's and Mills' bounds, so most
+uniforms are compared with a bracket of the closed form and only the rest
+with the closed form itself.  The array rejection rounds run in blocks of
+_BLOCK particles too.  A call of at most _FEW particles, and the rejection
+rounds once at most _FEW are pending, run on Python floats: the same draws
+in the same order and the same float expressions, each ufunc called on one
+float, where numpy and scipy return its array result bit for bit.
+Unconditional hitting times are inverse-Gaussian draws via Generator.wald.
 """
 from __future__ import annotations
 
@@ -33,8 +38,21 @@ REJECTION_CAP = 10**6
 # Killed steps, cohort phases and rejection rounds of at most this many
 # particles run on Python floats: cheaper than one numpy dispatch per operation.
 _FEW = 16
+# Array killed steps run in blocks of this many particles, so that a block's
+# temporaries stay in cache.
+_BLOCK = 8192
+# Array calls of fewer particles decide survival from the closed form alone:
+# below about this size the bracket's fixed cost per call exceeds its saving.
+_SQUEEZE_MIN = 1024
 # Survival formula: warn if the Gaussian-difference cancellation exceeds this.
 CANCELLATION_REL_TOL = 1e-9
+# The image-term bracket is widened by these margins (relative, absolute),
+# far beyond the float error of either side where it is trusted: w^2 <= 1e5
+# (the error of e^{2cx + log Phi(-w)} grows with w^2), or |z| >= 40 and
+# w^2 <= 1e15, where phi(z), and the image term, underflow to 0.
+_REL_MARGIN, _ABS_MARGIN = 1e-9, 1e-15
+_W2_TRUSTED, _Z2_UNDERFLOW, _W2_UNDERFLOW = 1e5, 1600.0, 1e15
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _CLAMPED = "survival_probability: cancellation beyond relative 1e-9; clamping at 0"
 _BAD_STEP = "sample_killed_steps_batch: step lengths must be >= 0 (and not nan)"
 
@@ -134,10 +152,13 @@ def sample_killed_steps_batch(x, t, params: ModelParams, rng: np.random.Generato
     x and t are arrays (or sequences) of start positions and step lengths.
     Returns (survived, position) arrays; position is nan where the particle
     was absorbed.  One uniform decides survival against the closed-form
-    probability; surviving positions come from the Gaussian-proposal
-    rejection loop.  A call of at most _FEW particles runs on Python floats
-    throughout, with the draws and float expressions of the array path.
-    A negative or nan step length raises ValueError.
+    probability, u < survival_probability(x, t): on arrays of at least
+    _SQUEEZE_MIN particles, _survives takes that decision from a bracket of
+    the closed form wherever the bracket settles it.  Surviving positions come from the Gaussian-proposal
+    rejection loop, whose array rounds run in blocks of _BLOCK particles.
+    A call of at most _FEW particles runs on Python floats throughout, with
+    the draws and float expressions of the array path.  A negative or nan
+    step length raises ValueError.
     """
     n, c, iters = len(x), params.c, 0
     if n <= _FEW:
@@ -166,24 +187,26 @@ def sample_killed_steps_batch(x, t, params: ModelParams, rng: np.random.Generato
         t = np.asarray(t, dtype=np.float64)
         if not t.min(initial=math.inf) >= 0.0:  # nan fails too
             raise ValueError(_BAD_STEP)
-        survived = rng.random(n) < survival_probability(x, t, params)
+        u = rng.random(n)
+        if n >= _SQUEEZE_MIN:
+            survived = _survives(x, t, u, params)
+        else:
+            survived = u < survival_probability(x, t, params)
         position = np.full(n, np.nan)
         pending = survived.nonzero()[0]
         n_survived = pending.size
-        # Per survivor, once: the proposal's mean and scale, and -2x and t of 1 - e^{-2xy/t}.
         xs, ts = x[pending], t[pending]
-        mean, scale, m2x = xs - c * ts, np.sqrt(ts), -2.0 * xs
         while pending.size > _FEW:
             iters += 1
             if iters > REJECTION_CAP:
                 raise RuntimeError("killed-step rejection sampler exceeded its proposal cap")
-            y = mean + scale * rng.standard_normal(pending.size)
-            u = rng.random(pending.size)
-            accept = (y > 0) & (u < -np.expm1(m2x * y / ts))
-            position[pending[accept]] = y[accept]
+            y = rng.standard_normal(pending.size)
+            accept = _propose(xs, ts, y, rng.random(pending.size), c)
+            position[pending] = y
             rejected = (~accept).nonzero()[0]
-            pending, mean, scale, m2x, ts = (a[rejected] for a in (pending, mean, scale, m2x, ts))
-        rest = list(zip(pending.tolist(), mean.tolist(), scale.tolist(), m2x.tolist(), ts.tolist()))
+            pending, xs, ts = pending[rejected], xs[rejected], ts[rejected]
+        rest = [(i, xi - c * ti, math.sqrt(ti), -2.0 * xi, ti)
+                for i, xi, ti in zip(pending.tolist(), xs.tolist(), ts.tolist())]
 
     # The last few pending particles: the same draws and float expressions
     # on Python floats, without a numpy dispatch per operation and round.
@@ -210,6 +233,74 @@ def sample_killed_steps_batch(x, t, params: ModelParams, rng: np.random.Generato
         # (tests/test_engine.py pins them).  One is a call with size None.
         rng.random(n - n_survived if n - n_survived > 1 else None)
     return np.asarray(survived, dtype=bool), np.asarray(position)
+
+
+def _image_bracket(x, t, c: float):
+    """first = Phi((x-ct)/sqrt t) and bounds lo <= e^{2cx} Phi(-(x+ct)/sqrt t)
+    <= hi, on arrays, with first bit for bit survival_probability's.
+
+    With z = (x-ct)/sqrt t and w = (x+ct)/sqrt t the image term is
+    phi(z) R(w), R(w) = Phi(-w)/phi(w) Mills' ratio, and for w > 0 Gordon's
+    w/(1+w^2) <= R(w) <= 1/w (Ann. Math. Statist. 12, 1941).  The margins
+    make the bracket hold the value survival_probability computes, not only
+    the exact one.  Where no bound is trusted (x <= 0, t = 0, a nan or inf,
+    or w^2 too large) lo = 0 and hi = inf, which decide nothing.
+    """
+    rt = np.sqrt(t)
+    ct = c * t
+    z = (x - ct) / rt
+    first = ndtr(z)
+    w = (x + ct) / rt
+    z2, w2 = z * z, w * w
+    phi = np.exp(-0.5 * z2) * _INV_SQRT_2PI
+    lo = phi * w / (1.0 + w2) * (1.0 - _REL_MARGIN) - _ABS_MARGIN
+    hi = phi / w * (1.0 + _REL_MARGIN) + _ABS_MARGIN
+    trusted = (x > 0) & ((w2 <= _W2_TRUSTED) | ((z2 >= _Z2_UNDERFLOW) & (w2 <= _W2_UNDERFLOW)))
+    return first, np.where(trusted, lo, 0.0), np.where(trusted, hi, math.inf)
+
+
+def _survives(x, t, u, params: ModelParams) -> np.ndarray:
+    """u < survival_probability(x, t, params) elementwise, decided in blocks
+    of _BLOCK particles by a squeeze test (Marsaglia, Comput. Math. Appl.
+    1977) on _image_bracket.  The float difference first - image only
+    grows as the image term falls, so u < first - hi means survival, and
+    u >= first - lo with lo > 0 absorption (lo > 0 also keeps out every
+    value survival_probability would clamp, and warn about).  The particles
+    the bracket leaves open take one survival_probability call, so its
+    clamp warning is still raised at most once per call.
+    """
+    n, c = x.size, params.c
+    survived = np.empty(n, dtype=bool)
+    undecided = np.empty(n, dtype=bool)
+    with np.errstate(all="ignore"):  # t = 0, inf and nan are left undecided
+        for start in range(0, n, _BLOCK):
+            b = slice(start, start + _BLOCK)
+            first, lo, hi = _image_bracket(x[b], t[b], c)
+            lives = u[b] < first - hi
+            dies = (lo > 0.0) & (u[b] >= first - lo)
+            survived[b] = lives
+            undecided[b] = ~(lives | dies)
+    rows = undecided.nonzero()[0]
+    if rows.size:
+        survived[rows] = u[rows] < survival_probability(x[rows], t[rows], params)
+    return survived
+
+
+def _propose(xs, ts, y, u, c: float) -> np.ndarray:
+    """One array rejection round, in blocks of _BLOCK particles: y holds the
+    standard normals and becomes the proposals (x - ct) + sqrt(t) z, nan
+    where rejected; returns the accept mask.  Each float expression is the
+    one the round always used, so the bits are unchanged."""
+    accept = np.empty(y.size, dtype=bool)
+    for start in range(0, y.size, _BLOCK):
+        b = slice(start, start + _BLOCK)
+        xb, tb, yb, ok = xs[b], ts[b], y[b], accept[b]
+        yb *= np.sqrt(tb)
+        yb += xb - c * tb
+        np.less(u[b], -np.expm1(-2.0 * xb * yb / tb), out=ok)
+        ok &= yb > 0
+        yb[~ok] = np.nan
+    return accept
 
 
 def _draws(method, k: int, *args) -> list:

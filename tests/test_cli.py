@@ -266,6 +266,21 @@ def test_kesten_not_supercritical_exit_1(tmp_path, capsys):
     _assert_usage_error(capsys, out, "Kesten experiment requires a supercritical configuration")
 
 
+def test_kesten_infeasible_horizon_writes_its_message(tmp_path):
+    # a horizon beyond desk scale runs no replicate: both files say why, and
+    # the report echoes the defaulted set as a feasible run does
+    out = tmp_path / "out"
+    rc = main(["kesten", *SUPER, "--horizon", "1000", "--replicates", "5", "--out", str(out)])
+    assert rc == 2
+    lines = _read(str(out / "summary.csv")).splitlines()
+    assert lines[0] == "message" and len(lines) == 2
+    assert "infeasible at desk scale" in lines[1]
+    records = [json.loads(line) for line in _read(str(out / "report.jsonl")).splitlines()]
+    assert len(records) == 1 and records[0]["message"] == next(csv.reader([lines[1]]))[0]
+    assert records[0]["config"]["sets"] == ["1,inf"] and records[0]["passed"] is False
+    assert not (out / "censuses.csv").exists()
+
+
 def test_contract_failure_exit_2(tmp_path):
     # horizon 1 leaves the supercritical cell without a meaningful survival
     # test, so the phase contract fails without any statistical noise

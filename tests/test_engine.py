@@ -277,6 +277,18 @@ def test_engine_digest_pinned(monkeypatch, name, few):
     assert _engine_digest(case) == digest
 
 
+@pytest.mark.parametrize("block", [1, 10**9])
+@pytest.mark.parametrize("few", [None, 0], ids=["default", "arrays"])
+@pytest.mark.parametrize("name", sorted(ENGINE_DIGEST_CASES))
+def test_engine_digest_pinned_any_block(monkeypatch, name, few, block):
+    """The pinned digests with every array call of the killed step through
+    the squeeze, every array block one particle long or each call in a
+    single block."""
+    monkeypatch.setattr(kernel, "_SQUEEZE_MIN", 0)
+    monkeypatch.setattr(kernel, "_BLOCK", block)
+    test_engine_digest_pinned(monkeypatch, name, few)
+
+
 def test_replicates_independent_of_execution_order():
     p = params(r=1.2)
 

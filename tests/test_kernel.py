@@ -459,6 +459,73 @@ def test_killed_steps_equal_reference_sampler_low_survival(monkeypatch, few, n, 
     assert r1.random() == r2.random()
 
 
+@pytest.mark.parametrize("block", [1, 10**9])
+@pytest.mark.parametrize("n", [1, 3, 200, 20_000])
+@pytest.mark.parametrize("c", [0.3, 1.0, 3.0])
+def test_killed_steps_equal_reference_sampler_any_block(monkeypatch, block, n, c):
+    """The same comparisons with every array call through the squeeze, every
+    array block one particle long or each call in a single block, on every
+    rejection-tail route."""
+    monkeypatch.setattr(kernel, "_SQUEEZE_MIN", 0)
+    monkeypatch.setattr(kernel, "_BLOCK", block)
+    test_killed_steps_equal_reference_sampler(n, c)
+    for few in (0, 10**9):
+        test_killed_steps_equal_reference_sampler_any_tail(monkeypatch, few, n, c)
+    if n in (200, 20_000):
+        for few in (0, kernel._FEW, 10**9):
+            test_killed_steps_equal_reference_sampler_low_survival(monkeypatch, few, n // 10, c)
+
+
+def test_clamp_warns_once_across_blocks():
+    """A call of two blocks of particles below the origin clamps in both,
+    and warns once: every undecided particle goes to one closed-form call."""
+    p = params()
+    n = 2 * kernel._BLOCK
+    x, t = np.full(n, -0.5), np.full(n, 1.0)
+    with pytest.warns(RuntimeWarning, match="cancellation beyond relative 1e-9") as caught:
+        survived, pos = sample_killed_steps_batch(x, t, p, np.random.default_rng(9))
+    assert len(caught) == 1
+    assert not survived.any() and np.all(np.isnan(pos))
+
+
+def _exact_image(x, t, c):
+    """e^{2cx} Phi(-(x+ct)/sqrt t) in 60-digit arithmetic, for the float inputs."""
+    import mpmath
+    with mpmath.workdps(60):
+        x, t, c = mpmath.mpf(x), mpmath.mpf(t), mpmath.mpf(c)
+        return mpmath.exp(2 * c * x) * mpmath.ncdf(-(x + c * t) / mpmath.sqrt(t))
+
+
+@given(st.floats(0.05, 20.0),
+       st.lists(st.tuples(st.floats(math.log(1e-3), math.log(1e3)),
+                          st.floats(math.log(1e-6), math.log(1e3))), min_size=1, max_size=40),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_survival_squeeze_equals_closed_form_property(c, logs, seed):
+    """_survives(x, t, u) == (u < survival_probability(x, t)) for u at sp,
+    at its float neighbours and at random, over x in [1e-3, 1e3],
+    t in [1e-6, 1e3] and c in [0.05, 20], with x = inf, t = 0, x < 0,
+    x/sqrt t = 30 and a large w^2 beside them; and the image-term bracket
+    holds the exact image term."""
+    p = params(c=c)
+    x = np.exp([a for a, _ in logs])
+    t = np.exp([b for _, b in logs])
+    x = np.concatenate([x, [math.inf, x[0], -x[0], 30.0 * math.sqrt(t[0]), 1e5]])
+    t = np.concatenate([t, [t[0], 0.0, t[0], t[0], 1e5 / c]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # x < 0 clamps
+        sp = survival_probability(x, t, p)
+        for u in (sp, np.nextafter(sp, 0.0), np.nextafter(sp, 1.0),
+                  np.random.default_rng(seed).random(x.size)):
+            assert np.array_equal(kernel._survives(x, t, u, p), u < sp)
+        with np.errstate(all="ignore"):
+            first, lo, hi = kernel._image_bracket(x, t, c)
+    sure = np.isfinite(hi)
+    assert not sure[-5:-2].any()                      # x = inf, t = 0, x < 0
+    for xi, ti, lo_i, hi_i in zip(x[sure], t[sure], lo[sure], hi[sure]):
+        assert lo_i <= _exact_image(xi, ti, c) <= hi_i
+
+
 class _CountingRng:
     """A Generator that counts its standard_normal calls: one per rejection round."""
 
