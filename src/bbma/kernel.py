@@ -196,15 +196,16 @@ def sample_killed_steps_batch(x, t, params: ModelParams, rng: np.random.Generato
         pending = survived.nonzero()[0]
         n_survived = pending.size
         xs, ts = x[pending], t[pending]
-        while pending.size > _FEW:
-            iters += 1
-            if iters > REJECTION_CAP:
-                raise RuntimeError("killed-step rejection sampler exceeded its proposal cap")
-            y = rng.standard_normal(pending.size)
-            accept = _propose(xs, ts, y, rng.random(pending.size), c)
-            position[pending] = y
-            rejected = (~accept).nonzero()[0]
-            pending, xs, ts = pending[rejected], xs[rejected], ts[rejected]
+        with np.errstate(divide="ignore"):  # t = 0: e^{-2xy/0} = 0, as on floats
+            while pending.size > _FEW:
+                iters += 1
+                if iters > REJECTION_CAP:
+                    raise RuntimeError("killed-step rejection sampler exceeded its proposal cap")
+                y = rng.standard_normal(pending.size)
+                accept = _propose(xs, ts, y, rng.random(pending.size), c)
+                position[pending] = y
+                rejected = (~accept).nonzero()[0]
+                pending, xs, ts = pending[rejected], xs[rejected], ts[rejected]
         rest = [(i, xi - c * ti, math.sqrt(ti), -2.0 * xi, ti)
                 for i, xi, ti in zip(pending.tolist(), xs.tolist(), ts.tolist())]
 

@@ -126,6 +126,8 @@ def expected_count(x: float, t: float, B: IntervalSet, params: ModelParams) -> f
     """
     if not (0 < x < math.inf and 0 < t < math.inf):
         raise ValueError("expected_count requires x>0 and t>0")
+    if not B.intervals:
+        return 0.0
     mt = params.r * (params.offspring.mu1 - 1.0) * t
     if B.intervals == ((0.0, math.inf),):
         mass = float(survival_probability(x, t, params))
@@ -143,6 +145,8 @@ def expected_count_asymptotic(x: float, t: float, B: IntervalSet, params: ModelP
     """Late-time first-moment approximation e^{gt} t^{-3/2} h(x) nu(B)."""
     if not (0 < x < math.inf and 0 < t < math.inf):
         raise ValueError("expected_count_asymptotic requires x>0 and t>0")
+    if not B.intervals:
+        return 0.0
     g = params.growth_exponent
     return math.exp(g * t) * t ** -1.5 * float(ground_state_h(x, params)) * nu_measure(B, params)
 

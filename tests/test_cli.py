@@ -400,6 +400,7 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+@pytest.mark.stream_picked
 def test_simulate_peak_is_one_replicates_peak(tmp_path):
     # Memory guard: simulate holds one replicate's data at a time, so its
     # traced peak stays within the largest replicate's own traced peak plus
@@ -520,7 +521,7 @@ def test_verify_command_passes_and_reports_suites(tmp_path):
     assert lines[0] == "suite,ok,pvalue,statistic,n"
     suites = {line.split(",")[0]: line.split(",")[1] for line in lines[1:]}
     assert suites == {"hitting_time_ks": "true", "killed_position_ks": "true",
-                      "survival_binomial": "true", "branching_stats": "true"}
+                      "branching_stats": "true"}
 
 
 def test_kesten_command_matches_direct_experiment(tmp_path):

@@ -1142,6 +1142,7 @@ def _memory_replicate():
 _SLACK = 64 * 1024   # bytes: Python objects and allocator rounding
 
 
+@pytest.mark.stream_picked
 def test_window_fold_allocates_one_float_and_one_bool_column():
     censuses = _memory_replicate().censuses
     rows = max(cen.chk_time.size for cen in censuses)
@@ -1157,6 +1158,7 @@ def test_window_fold_allocates_one_float_and_one_bool_column():
     assert peak <= sum(f.nbytes for f in flags) + 9 * rows + _SLACK, (peak, rows)
 
 
+@pytest.mark.stream_picked
 def test_closing_a_table_does_not_copy_its_rows(monkeypatch):
     """While a census closes its tree, memory grows by at most the leaf
     rows' own bytes (three columns and chk_slot), never by a second copy of

@@ -1,12 +1,13 @@
 """Experiment-layer tests: frozen pilot thresholds, contract verdicts on
 pinned seeds, degenerate-input paths, schedule diagnostics, and the sampler
-verification suites (including the corruption fixture that proves they can
+verification suites (including the injected faults that prove they can
 fail)."""
 
 import functools
 import hashlib
 import json
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -621,19 +622,59 @@ def test_verify_samplers_pass(verify_report):
     assert rep.aggregates["suites"] == {
         "hitting_time_ks": True,
         "killed_position_ks": True,
-        "survival_binomial": True,
         "branching_stats": True,
     }
 
 
-def test_verify_detects_corrupted_positions():
-    # shift the killed-step output by +0.1: only the position KS suite
-    # should notice, and it must
-    rep = verify_samplers(REF, 20000, 5, corrupt_position_offset=0.1)
+def _faulty_killed_steps(monkeypatch, fault):
+    """Route verify's killed steps through fault(survived, position)."""
+    real = experiments.sample_killed_steps_batch
+    monkeypatch.setattr(experiments, "sample_killed_steps_batch",
+                        lambda x, t, params, rng: fault(*real(x, t, params, rng)))
+
+
+def test_verify_detects_corrupted_positions(monkeypatch):
+    # shift the survivors' positions by +0.1: only the position KS should
+    # notice, and it must
+    _faulty_killed_steps(monkeypatch, lambda survived, pos: (survived, pos + 0.1))
+    rep = verify_samplers(REF, 20000, 5)
     assert not rep.passed
     suites = rep.aggregates["suites"]
     assert not suites["killed_position_ks"]
     assert suites["hitting_time_ks"] and suites["branching_stats"]
+    killed = rep.replicate_records[1]
+    assert killed["pvalue"] < 0.01 <= killed["survival_binomial_p"]
+
+
+def test_verify_detects_lost_survivors(monkeypatch):
+    # mark every 10th survivor absorbed: the killed step's binomial must
+    # fail while the positions of the rest still pass their KS
+    def drop(survived, pos):
+        survived = survived.copy()
+        survived[survived.nonzero()[0][::10]] = False
+        return survived, np.where(survived, pos, np.nan)
+
+    _faulty_killed_steps(monkeypatch, drop)
+    rep = verify_samplers(REF, 20000, 5)
+    assert not rep.passed
+    suites = rep.aggregates["suites"]
+    assert not suites["killed_position_ks"]
+    assert suites["hitting_time_ks"] and suites["branching_stats"]
+    killed = rep.replicate_records[1]
+    assert killed["survival_binomial_p"] < 0.01 <= killed["pvalue"]
+
+
+def test_verify_without_killed_step_survivor_fails_with_message():
+    # at c = 8 a step of length 1 from x = 1 survives with probability 2.8e-13
+    params = ModelParams(c=8.0, r=1.0, offspring=OffspringLaw.dyadic())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_samplers(params, 1000, 1)
+    killed = rep.replicate_records[1]
+    assert killed["suite"] == "killed_position_ks" and killed["n_survivors"] == 0
+    assert math.isnan(killed["pvalue"]) and math.isnan(killed["statistic"])
+    assert not killed["ok"]
+    assert "untested" in killed["message"]
 
 
 def test_verify_samplers_pass_for_three_point_law():

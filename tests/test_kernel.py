@@ -186,14 +186,16 @@ def test_survival_of_infinite_start_is_one(monkeypatch, few):
     assert survived.all() and np.all(pos == math.inf)
 
 
-@pytest.mark.parametrize("n", [1, 3, 40])
+@pytest.mark.parametrize("n", [1, 3, 40, 2000])
 def test_zero_length_step_keeps_position(n):
     """A step of length 0 survives where x > 0 and stays at x, with the
-    draws of any other step."""
+    draws of any other step, and without a warning on either path."""
     p = params()
     x = np.linspace(0.1, 3.0, n)
-    with np.errstate(divide="ignore"):   # -2xy/t on arrays
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         survived, pos = sample_killed_steps_batch(x, np.zeros(n), p, np.random.default_rng(4))
+    with np.errstate(divide="ignore"):   # -2xy/t in the reference's array rounds
         want = _killed_steps_reference(x, np.zeros(n), p, np.random.default_rng(4))
     assert survived.all() and np.array_equal(pos, x)
     assert np.array_equal(pos, want[1])

@@ -100,8 +100,11 @@ def test_expected_count_overflowing_growth_factor():
 
 
 def test_expected_count_empty_set():
-    assert expected_count(1.0, 1.0, IntervalSet.empty(), params()) == 0.0
-    assert expected_count_asymptotic(1.0, 1.0, IntervalSet.empty(), params()) == 0.0
+    # 0 even where the growth factor overflows (r = 1.5, t = 1000)
+    for p in (params(), params(r=1.5)):
+        for t in (1.0, 1000.0):
+            assert expected_count(1.0, t, IntervalSet.empty(), p) == 0.0
+            assert expected_count_asymptotic(1.0, t, IntervalSet.empty(), p) == 0.0
 
 
 def test_asymptotic_closed_form():
