@@ -298,7 +298,10 @@ def _emit(cfg: RunConfig, censuses_rows, censuses_header, summary_rows, summary_
 def _simulate_one(cfg: RunConfig, params: ModelParams, sets, grid, i: int) -> tuple[list, dict]:
     """Replicate i's censuses.csv rows and report.jsonl record.  Its censuses
     and checkpoint trees are freed on return, before the next replicate runs."""
-    res = run_replicate(params, cfg.x0, cfg.horizon, grid, spawn_rng_stream(cfg.seed, i))
+    # Only --trunc-M reads the trees; a plain run drops them once the
+    # benchmark's traced test stops asserting their bytes.
+    res = run_replicate(params, cfg.x0, cfg.horizon, grid, spawn_rng_stream(cfg.seed, i),
+                        checkpoint_chains=True)
     times, alive, d = res.trace.times.tolist(), res.trace.n_alive.tolist(), res.trace.d.tolist()
     d_trunc = d if cfg.truncation_M is None else truncated_martingale(
         res.censuses, params, cfg.x0, cfg.truncation_M).tolist()

@@ -8,12 +8,13 @@ step — which keeps the per-event cost flat while populations grow; a phase
 of at most _FEW particles runs on Python lists, with the same draws and
 float expressions.
 
-Censuses record everything the truncation windows J^M_s = [0, M(1 + s^{3/4}))
-need after the fact: the interval's checkpoints (its start points, branch
-events and census points, each with time and position) as a parent-pointer
-tree that stores each checkpoint once, however many particles descend from
-it, written block by block straight into growable columns (_Table), each
-row's parent in an earlier block, so the census copies no row.  The first
+With checkpoint chains, censuses record everything the truncation windows
+J^M_s = [0, M(1 + s^{3/4})) need after the fact: the interval's checkpoints
+(its start points, branch events and census points, each with time and
+position) as a parent-pointer tree that stores each checkpoint once, however
+many particles descend from it, written block by block straight into
+growable columns (_Table), each row's parent in an earlier block, so the
+census copies no row.  The first
 block, the tree's roots, is the previous census's particles in slot order,
 so the trees of successive censuses join into one genealogy; alive_positions
 views the last block's positions.
@@ -105,17 +106,23 @@ class Census:
     alive_positions: np.ndarray
     absorbed_count: int
     # The interval's checkpoint tree for window queries and escape bounds:
-    # one row per checkpoint (time, position, parent row), each alive
-    # particle's leaf row (chk_slot) and the block offsets (chk_block).  The
-    # first block holds the roots (parent -1): the previous census's particles
-    # in slot order (its time and alive_positions), or (0, x0).  Every other
-    # row's parent lies in an earlier block.  None when the replicate was run
-    # with checkpoint_chains=False.
-    chk_slot: np.ndarray | None
+    # one row per checkpoint (time, position, parent row) and the block
+    # offsets (chk_block).  The first block holds the roots (parent -1): the
+    # previous census's particles in slot order (its time and
+    # alive_positions), or (0, x0).  Every other row's parent lies in an
+    # earlier block; the last block holds the alive particles' leaf rows, in
+    # slot order (chk_slot).  None unless the replicate was run with
+    # checkpoint_chains=True.
     chk_time: np.ndarray | None
     chk_pos: np.ndarray | None
     chk_prev: np.ndarray | None
     chk_block: np.ndarray | None
+
+    @property
+    def chk_slot(self) -> np.ndarray | None:
+        """Each alive particle's leaf row: the rows of the tree's last block."""
+        block = self.chk_block
+        return None if block is None else np.arange(block[-2], block[-1], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -469,18 +476,15 @@ class _Run:
         cohort, whose slot order is the census's.  table is the interval's
         checkpoint table, which co's chains point into; the census closes it
         with one leaf row per particle, whose read-only positions co views."""
-        nslots = co.size
-        chk_slot = chk_time = chk_pos = chk_prev = chk_block = None
+        chk_time = chk_pos = chk_prev = chk_block = None
         if table is not None:
             chk_time, chk_pos, chk_prev, chk_block = table.close(t_c, co.pos, co.chain)
-            chk_slot = np.arange(chk_time.size - nslots, chk_time.size, dtype=np.int64)
             chk_pos.flags.writeable = False
-            co = _Cohort(chk_pos[chk_pos.size - nslots:], co.chain)
+            co = _Cohort(chk_pos[chk_pos.size - co.size:], co.chain)
         self.censuses.append(Census(
             time=t_c,
             alive_positions=co.pos,
             absorbed_count=self.absorbed,
-            chk_slot=chk_slot,
             chk_time=chk_time,
             chk_pos=chk_pos,
             chk_prev=chk_prev,
@@ -543,7 +547,7 @@ def run_replicate(
     *,
     population_cap: int = 10_000_000,
     event_recorder: EventRecorder | None = None,
-    checkpoint_chains: bool = True,
+    checkpoint_chains: bool = False,
     certify_survival: bool = False,
 ) -> ReplicateResult:
     """Simulate one replicate started from a single particle at x0.
@@ -572,10 +576,11 @@ def run_replicate(
     before the cap check and draws nothing, so a stopped replicate's stream
     is a prefix of the unstopped one.  Sub/critical models never stop (q = 1).
 
-    checkpoint_chains=False builds no checkpoint trees, whose size is
-    O(branch events + alive particles) per census and dominates memory for
-    large populations; the window functions need them.  Draws identical
-    randomness either way.
+    checkpoint_chains=True stores each census's checkpoint tree, which the
+    window functions read; its size is O(branch events + alive particles)
+    per census and dominates memory for large populations, so by default
+    none is built and every chk_* field of a census is None.  Draws
+    identical randomness either way.
     """
     if rng is None:
         raise ValueError("run_replicate requires an rng; see spawn_rng_stream")
@@ -659,7 +664,7 @@ def _fold_down(censuses: list[Census], row_vals, op) -> list[np.ndarray]:
     """
     out: list[np.ndarray] = []
     for cen in censuses:
-        if cen.chk_slot is None:
+        if cen.chk_block is None:
             raise ValueError("window queries need checkpoint chains (checkpoint_chains=True)")
         acc = row_vals(cen)
         bounds = cen.chk_block.tolist()
@@ -667,7 +672,7 @@ def _fold_down(censuses: list[Census], row_vals, op) -> list[np.ndarray]:
             acc[:bounds[1]] = out[-1]
         for a, b in zip(bounds[1:-1], bounds[2:]):
             acc[a:b] = op(acc[cen.chk_prev[a:b]], acc[a:b])
-        out.append(acc[cen.chk_slot])
+        out.append(acc[bounds[-2]:].copy())  # the leaf block, without the rest of acc
     return out
 
 

@@ -315,7 +315,7 @@ def experiment_kesten(
         )
 
     return _census_experiment("kesten", config, thresholds, params, x0, grid, n_replicates, seed,
-                              keep, judge, checkpoint_chains=False)
+                              keep, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +358,7 @@ def experiment_empirical_qsd(
 
     config = _echo(params, x0=x0, horizon=horizon, n=n_replicates, seed=seed)
     return _census_experiment("qsd", config, thresholds, params, x0, grid, n_replicates, seed,
-                              keep, judge, checkpoint_chains=False)
+                              keep, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +421,7 @@ def experiment_martingale(
 
     config = _echo(params, x0=x0, horizons=grid, K_list=K_list, n=n, seed=seed)
     return _census_experiment("martingale", config, thresholds, params, x0, grid, n, seed,
-                              keep, judge, checkpoint_chains=False)
+                              keep, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +531,7 @@ def experiment_truncation(
 
     config = _echo(params, x0=x0, horizon=horizon, M_list=M_list, n=n, seed=seed)
     return _census_experiment("truncation", config, thresholds, params, x0, [horizon], n, seed,
-                              keep, judge)
+                              keep, judge, checkpoint_chains=True)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +589,7 @@ def experiment_phase_diagram(
                     params, x0, h_eff, [h_eff], n, seed,
                     lambda res: (res.n_events, res.status,
                                  bool(res.status == "ok" and res.trace.n_alive[-1] > 0)),
-                    cell_index * n, checkpoint_chains=False, certify_survival=super_cell):
+                    cell_index * n, certify_survival=super_cell):
                 n_events += n_ev
                 alive += alive_at_end
                 certified += status == "certified_survival"
@@ -778,7 +778,7 @@ def suite_branching_stats(params: ModelParams, n: int, seed: int) -> dict:
     recorder = EventRecorder()
     j = 0
     for _ in _replicates(params, x0, h, [], max(64, 4 * n), seed, lambda res: None,
-                         event_recorder=recorder, population_cap=30_000_000, checkpoint_chains=False):
+                         event_recorder=recorder, population_cap=30_000_000):
         j += 1
         if recorder.n_events >= n:
             break

@@ -203,7 +203,7 @@ def sample_killed_steps_batch(x, t, params: ModelParams, rng: np.random.Generato
                     raise RuntimeError("killed-step rejection sampler exceeded its proposal cap")
                 y = rng.standard_normal(pending.size)
                 accept = _propose(xs, ts, y, rng.random(pending.size), c)
-                position[pending] = y
+                position[pending] = y  # a rejected row is rewritten once accepted
                 rejected = (~accept).nonzero()[0]
                 pending, xs, ts = pending[rejected], xs[rejected], ts[rejected]
         rest = [(i, xi - c * ti, math.sqrt(ti), -2.0 * xi, ti)
@@ -289,9 +289,9 @@ def _survives(x, t, u, params: ModelParams) -> np.ndarray:
 
 def _propose(xs, ts, y, u, c: float) -> np.ndarray:
     """One array rejection round, in blocks of _BLOCK particles: y holds the
-    standard normals and becomes the proposals (x - ct) + sqrt(t) z, nan
-    where rejected; returns the accept mask.  Each float expression is the
-    one the round always used, so the bits are unchanged."""
+    standard normals and becomes the proposals (x - ct) + sqrt(t) z, accepted
+    or not; returns the accept mask.  Each float expression is the one the
+    round always used, so the bits are unchanged."""
     accept = np.empty(y.size, dtype=bool)
     for start in range(0, y.size, _BLOCK):
         b = slice(start, start + _BLOCK)
@@ -300,7 +300,6 @@ def _propose(xs, ts, y, u, c: float) -> np.ndarray:
         yb += xb - c * tb
         np.less(u[b], -np.expm1(-2.0 * xb * yb / tb), out=ok)
         ok &= yb > 0
-        yb[~ok] = np.nan
     return accept
 
 

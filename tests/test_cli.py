@@ -412,11 +412,12 @@ def test_simulate_peak_is_one_replicates_peak(tmp_path):
     trees = []
 
     def one(i):
-        res = bbma.run_replicate(params, 2.0, 10.0, grid, bbma.spawn_rng_stream(0, i))
+        res = bbma.run_replicate(params, 2.0, 10.0, grid, bbma.spawn_rng_stream(0, i),
+                                 checkpoint_chains=True)
         truncated_martingale(res.censuses, params, 2.0, 2.0)
         last = res.censuses[-1]
         trees.append(sum(a.nbytes for a in (last.chk_time, last.chk_pos, last.chk_prev,
-                                            last.chk_slot, last.chk_block)))
+                                            last.chk_block)))
 
     peaks = [_traced_peak(functools.partial(one, i)) for i in range(4)]
     big = int(np.argmax(trees))

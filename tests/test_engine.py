@@ -37,9 +37,11 @@ def params(c=1.0, r=0.6, offspring=DYADIC):
 
 
 def busy_replicate(seed=0, **kw):
-    """A supercritical run from x0 = 1 with enough branching to exercise everything."""
+    """A supercritical run from x0 = 1 with enough branching to exercise
+    everything, with checkpoint trees unless kw says otherwise."""
     p = params(r=1.5)
-    return run_replicate(p, 1.0, 4.0, [0.0, 1.0, 2.0, 3.0, 4.0], spawn_rng_stream(seed, 0), **kw), p
+    return run_replicate(p, 1.0, 4.0, [0.0, 1.0, 2.0, 3.0, 4.0], spawn_rng_stream(seed, 0),
+                         **{"checkpoint_chains": True, **kw}), p
 
 
 def census_ancestors(cen):
@@ -234,7 +236,8 @@ def _engine_digest(case) -> str:
 
     for i in range(n):
         rec = EventRecorder() if kw.get("event_recorder") else None
-        res = run_replicate(p, x0, horizon, grid, spawn_rng_stream(seed, i), **{**kw, "event_recorder": rec})
+        res = run_replicate(p, x0, horizon, grid, spawn_rng_stream(seed, i),
+                            **{"checkpoint_chains": True, **kw, "event_recorder": rec})
         put(res.status, res.n_events, sorted(res.counters.items()), res.extinction_bound,
             res.trace.times, res.trace.d, res.trace.n_alive)
         for cen in res.censuses:
@@ -400,16 +403,14 @@ def test_accounting_identity_every_status(status, grid):
     p, x0, kw = IDENTITY_RUNS[status]
     seen = 0
     for i in range(40):
-        res = run_replicate(p, x0, 4.0, grid, spawn_rng_stream(113, i),
-                            checkpoint_chains=False, **kw)
+        res = run_replicate(p, x0, 4.0, grid, spawn_rng_stream(113, i), **kw)
         k = res.counters
         assert k["created"] == (k["alive_final"] + k["absorbed"]
                                 + k["died_childless"] + k["branched"]), (i, res.status, k)
         seen += res.status == status
         if res.status == "ok":
             # The same draws with a census at the horizon count the same particles.
-            full = run_replicate(p, x0, 4.0, sorted({*grid, 4.0}), spawn_rng_stream(113, i),
-                                 checkpoint_chains=False, **kw)
+            full = run_replicate(p, x0, 4.0, sorted({*grid, 4.0}), spawn_rng_stream(113, i), **kw)
             assert k["alive_final"] == full.trace.n_alive[-1], i
         elif res.status == "population_cap_exceeded":
             assert k["alive_final"] > 0
@@ -460,7 +461,7 @@ def test_certified_replicates_survive_the_horizon(law, x0, horizon):
     certified = 0
     for i in range(200):
         res = run_replicate(p, x0, horizon, [horizon / 2, horizon], spawn_rng_stream(67, i),
-                            checkpoint_chains=False, certify_survival=True)
+                            certify_survival=True)
         k = res.counters
         assert k["created"] == k["alive_final"] + k["absorbed"] + k["died_childless"] + k["branched"]
         if res.status != "certified_survival":
@@ -468,8 +469,7 @@ def test_certified_replicates_survive_the_horizon(law, x0, horizon):
             continue
         certified += 1
         assert 0.0 <= res.extinction_bound < CERTIFY_EPS
-        full = run_replicate(p, x0, horizon, [horizon / 2, horizon], spawn_rng_stream(67, i),
-                             checkpoint_chains=False)
+        full = run_replicate(p, x0, horizon, [horizon / 2, horizon], spawn_rng_stream(67, i))
         assert full.status == "ok" and full.trace.n_alive[-1] > 0, i
     assert certified >= 30
 
@@ -564,7 +564,8 @@ def test_martingale_mean_one_far_from_origin():
     d = np.empty((n, 2))
     with np.errstate(over="ignore"):
         for i in range(n):
-            res = run_replicate(p, 800.0, 2.0, [1.0, 2.0], spawn_rng_stream(800, i))
+            res = run_replicate(p, 800.0, 2.0, [1.0, 2.0], spawn_rng_stream(800, i),
+                                checkpoint_chains=i < 20)
             d[i] = res.trace.d
             if i < 20:
                 np.testing.assert_array_equal(truncated_martingale(res.censuses, p, 800.0, math.inf), d[i])
@@ -589,7 +590,8 @@ def test_far_start_keeps_D_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for i, want in enumerate(FAR_START_D):
-            res = run_replicate(p, 800.0, 2.0, [1.0, 2.0], spawn_rng_stream(800, i))
+            res = run_replicate(p, 800.0, 2.0, [1.0, 2.0], spawn_rng_stream(800, i),
+                                checkpoint_chains=True)
             assert [float(d).hex() for d in res.trace.d] == want
             d_trunc = truncated_martingale(res.censuses, p, 800.0, 1e9)
             assert [float(d).hex() for d in d_trunc] == want
@@ -677,7 +679,7 @@ def test_vacuous_truncation_window():
 
 def test_empty_census_martingale():
     p = params(r=0.3)
-    res = run_replicate(p, 0.2, 50.0, [50.0], spawn_rng_stream(83, 0))
+    res = run_replicate(p, 0.2, 50.0, [50.0], spawn_rng_stream(83, 0), checkpoint_chains=True)
     assert res.censuses[-1].alive_positions.size == 0
     assert res.trace.d[-1] == 0.0 and truncated_martingale(res.censuses, p, 0.2, 2.0)[-1] == 0.0
     assert res.trace.n_alive[-1] == 0
@@ -709,7 +711,7 @@ def test_shifted_window_reduces_alive_set():
 @settings(max_examples=25, deadline=None)
 def test_accounting_identity_property(seed):
     p = params(r=1.2)
-    res = run_replicate(p, 0.8, 2.0, [1.0, 2.0], spawn_rng_stream(97, seed))
+    res = run_replicate(p, 0.8, 2.0, [1.0, 2.0], spawn_rng_stream(97, seed), checkpoint_chains=True)
     k = res.counters
     assert k["created"] == (k["alive_final"] + k["absorbed"]
                             + k["died_childless"] + k["branched"])
@@ -718,16 +720,19 @@ def test_accounting_identity_property(seed):
 
 def test_checkpoint_chains_off_same_statistics():
     # the checkpoint trees are pure bookkeeping: same rng draws, same
-    # censuses
+    # censuses; a replicate builds them only when asked
     res_on, p = busy_replicate(seed=12)
-    res_off, _ = busy_replicate(seed=12, checkpoint_chains=False)
+    res_off = run_replicate(p, 1.0, 4.0, [0.0, 1.0, 2.0, 3.0, 4.0], spawn_rng_stream(12, 0))
     assert np.array_equal(res_on.trace.d, res_off.trace.d)
+    assert len(res_on.censuses) == len(res_off.censuses) == 5
     for a, b in zip(res_on.censuses, res_off.censuses):
         assert np.array_equal(a.alive_positions, b.alive_positions)
         assert all(v is None for v in (b.chk_slot, b.chk_time, b.chk_pos, b.chk_prev, b.chk_block))
-    # every recomputation, s = 0 included, reads the trees
-    with pytest.raises(ValueError, match="checkpoint chains"):
-        truncation_flags_for(res_off.censuses, 2.5, s=0.0)
+    # every recomputation, s = 0 included, reads the trees, and the error
+    # names the keyword that builds them
+    for query in (truncation_flags_for, window_escape_bounds):
+        with pytest.raises(ValueError, match=r"\(checkpoint_chains=True\)"):
+            query(res_off.censuses, 2.5)
 
 
 def test_checkpoint_chains_required_for_shifted_window():
@@ -753,7 +758,7 @@ def test_truncated_martingale_property(status):
     p, x0, grid, kw = DM_RUNS[status]
     reached = 0
     for seed in range(40):
-        res = run_replicate(p, x0, 4.0, grid, spawn_rng_stream(seed, 0), **kw)
+        res = run_replicate(p, x0, 4.0, grid, spawn_rng_stream(seed, 0), checkpoint_chains=True, **kw)
         reached += res.status == status and len(res.censuses) >= 2
         d = res.trace.d
         prev = np.zeros(len(res.censuses))
@@ -763,7 +768,7 @@ def test_truncated_martingale_property(status):
             assert np.all((0.0 <= dm) & (dm <= d)) and np.all(prev <= dm), (seed, M)
             prev = dm
         np.testing.assert_array_equal(truncated_martingale(res.censuses, p, x0, math.inf), d)
-        off = run_replicate(p, x0, 4.0, grid, spawn_rng_stream(seed, 0), checkpoint_chains=False, **kw)
+        off = run_replicate(p, x0, 4.0, grid, spawn_rng_stream(seed, 0), **kw)
         assert off.status == res.status and np.array_equal(off.trace.d, d)
         if off.censuses:
             with pytest.raises(ValueError, match="checkpoint chains"):
@@ -884,7 +889,8 @@ TREE_CASES = {
 
 def _tree_case(name, seed):
     p, x0, horizon, grid, kw = TREE_CASES[name]
-    return run_replicate(p, x0, horizon, grid, spawn_rng_stream(seed, 0), **kw), x0
+    return run_replicate(p, x0, horizon, grid, spawn_rng_stream(seed, 0), checkpoint_chains=True,
+                         **kw), x0
 
 
 def _walk_paths(censuses, x0, M, s):
@@ -1009,7 +1015,8 @@ def test_tree_consumers_match_path_walk_at_extreme_inputs(x0, c, r, p0, gaps, fr
     # spacings up to 5; the cap keeps the pure-Python walk small
     p = params(c=c, r=r, offspring=OffspringLaw.from_pmf({0: p0, 1: 0.1, 3: 0.9 - p0}))
     grid = [0.0] * from_zero + np.cumsum(gaps).tolist()
-    res = run_replicate(p, x0, grid[-1], grid, spawn_rng_stream(seed, 0), population_cap=400)
+    res = run_replicate(p, x0, grid[-1], grid, spawn_rng_stream(seed, 0), population_cap=400,
+                        checkpoint_chains=True)
     flags, bounds = _walk_paths(res.censuses, x0, M, 0.0)
     for f, g in zip(flags, truncation_flags_for(res.censuses, M)):
         np.testing.assert_array_equal(g, f)
@@ -1089,7 +1096,8 @@ def test_tables_equal_block_list_reference(monkeypatch, name, few):
     _set_few(monkeypatch, few)
     c, r, pmf, x0, horizon, grid, seed, n, kw = _TABLE_CASES[name]
     p = ModelParams(c, r, OffspringLaw.from_pmf(pmf))
-    kw = {**kw, "event_recorder": EventRecorder() if kw.get("event_recorder") else None}
+    kw = {**kw, "checkpoint_chains": True,
+          "event_recorder": EventRecorder() if kw.get("event_recorder") else None}
     fields = ("alive_positions", "chk_slot", "chk_time", "chk_pos", "chk_prev", "chk_block")
     monkeypatch.setattr(_GrowthCountingTable, "counts", [])
     rows = set()
@@ -1133,10 +1141,11 @@ def test_alive_positions_view_read_only_leaf_rows():
     set_counts(res.censuses, [AXIS])
 
 
-def _memory_replicate():
-    """A replicate whose last checkpoint tree has 339,095 rows (133,180 alive)."""
+def _memory_replicate(index=0):
+    """A replicate whose last checkpoint tree has 339,095 rows (133,180 alive)
+    at index 0."""
     p = params(r=1.5)
-    return run_replicate(p, 1.0, 10.5, [5.25, 10.5], spawn_rng_stream(2, 0))
+    return run_replicate(p, 1.0, 10.5, [5.25, 10.5], spawn_rng_stream(2, index), checkpoint_chains=True)
 
 
 _SLACK = 64 * 1024   # bytes: Python objects and allocator rounding
@@ -1158,27 +1167,31 @@ def test_window_fold_allocates_one_float_and_one_bool_column():
     assert peak <= sum(f.nbytes for f in flags) + 9 * rows + _SLACK, (peak, rows)
 
 
-@pytest.mark.stream_picked
 def test_closing_a_table_does_not_copy_its_rows(monkeypatch):
     """While a census closes its tree, memory grows by at most the leaf
-    rows' own bytes (three columns and chk_slot), never by a second copy of
-    the rows the interval already holds."""
+    rows' own bytes in the three columns, never by a second copy of the rows
+    the interval already holds.  On streams 19 and 57 the leaf block
+    overflows the columns' spare capacity; on stream 0 it does not."""
     grew = []
-    emit = engine._Run._emit_census
+    close = engine._Table.close
 
-    def traced(self, t_c, co, table):
+    def traced(self, t, pos, prev):
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        emit(self, t_c, co, table)
-        grew.append((tracemalloc.get_traced_memory()[1] - base, self.censuses[-1]))
+        cols = close(self, t, pos, prev)
+        grew.append((tracemalloc.get_traced_memory()[1] - base, cols[0].size, len(pos)))
+        return cols
 
-    monkeypatch.setattr(engine._Run, "_emit_census", traced)
-    tracemalloc.start()
-    try:
-        _memory_replicate()
-    finally:
-        tracemalloc.stop()
-    assert max(cen.chk_time.size for _, cen in grew) >= 10**5
-    for peak, cen in grew:
-        leaves = cen.chk_slot.size
-        assert peak <= 32 * leaves + _SLACK, (peak, cen.chk_time.size, leaves)
+    monkeypatch.setattr(engine._Table, "close", traced)
+    for index in (0, 19, 57):
+        grew.clear()
+        tracemalloc.start()
+        try:
+            _memory_replicate(index)
+        finally:
+            tracemalloc.stop()
+        # a copy of the largest tree's rows would not fit in the budget
+        _, rows, leaves = max(grew, key=lambda g: g[1])
+        assert 24 * rows > 24 * leaves + _SLACK, (index, rows, leaves)
+        for peak, rows, leaves in grew:
+            assert peak <= 24 * leaves + _SLACK, (index, peak, rows, leaves)

@@ -259,7 +259,8 @@ def test_truncation_bracket_dominates_checkpoint_only_gaps(truncation_report):
     ec = expected_count(0.5, 4.0, IntervalSet.positive_axis(), REF)
     scale = math.exp(-REF.growth_exponent * 4.0) / ground_state_h(0.5, REF)
     for rec in rep.replicate_records:
-        res = run_replicate(REF, 0.5, 4.0, [4.0], spawn_rng_stream(43, rec["replicate"]))
+        res = run_replicate(REF, 0.5, 4.0, [4.0], spawn_rng_stream(43, rec["replicate"]),
+                            checkpoint_chains=True)
         hvals = ground_state_h(res.censuses[-1].alive_positions, REF)
         d = res.trace.d[-1]
         for j, M in enumerate(M_list):

@@ -144,7 +144,7 @@ def test_engine_first_moment_on_interval_sets():
     n = 4000
     counts = np.empty((n, 4))
     for i in range(n):
-        res = run_replicate(p, 1.0, 2.0, [2.0], spawn_rng_stream(103, i), checkpoint_chains=False)
+        res = run_replicate(p, 1.0, 2.0, [2.0], spawn_rng_stream(103, i))
         counts[i] = [B.indicator(res.censuses[-1].alive_positions).sum() for B in sets]
     for k, B in enumerate(sets):
         target = expected_count(1.0, 2.0, B, p)
