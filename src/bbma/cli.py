@@ -250,6 +250,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         except ValueError:
             raise UsageError(f"BBM_SEED must be an integer, got '{env_seed}'") from None
 
+    for key in ("c", "r"):  # a grid's first value stands in for a model value not given
+        if key not in values and values.get(key + "_grid"):
+            values[key] = values[key + "_grid"][0]
     missing = [k for k in ("c", "r", "offspring") if k not in values]
     if missing:
         raise UsageError(f"missing required option(s): {', '.join('--' + m for m in missing)}")

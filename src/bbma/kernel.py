@@ -13,11 +13,11 @@ the closed-form probability and the surviving position by rejection from the
 free Gaussian proposal (the acceptance probability 1 - e^{-2xy/t} is the
 probability that a Brownian bridge from x to y stays positive).  On arrays
 of at least _SQUEEZE_MIN particles, survival is decided in blocks of _BLOCK
-particles by a squeeze test: the image term e^{2cx} Phi(-w) = phi(z) R(w),
-with R Mills' ratio, lies between Gordon's and Mills' bounds, so most
-uniforms are compared with a bracket of the closed form and only the rest
-with the closed form itself.  The array rejection rounds run in blocks of
-_BLOCK particles too.  A call of at most _FEW particles, and the rejection
+particles by a squeeze test: P_x(X_t > 0) rises with x and falls with t,
+so its values at two corners of a grid cell bound it on the cell, and most
+uniforms are compared with those bounds, looked up in a table per model,
+and only the rest with the closed form itself.  The array rejection rounds
+run in blocks of _BLOCK particles too.  A call of at most _FEW particles, and the rejection
 rounds once at most _FEW are pending, run on Python floats: the same draws
 in the same order and the same float expressions, each ufunc called on one
 float, where numpy and scipy return its array result bit for bit.
@@ -25,6 +25,7 @@ Unconditional hitting times are inverse-Gaussian draws via Generator.wald.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -41,18 +42,17 @@ _FEW = 16
 # Array killed steps run in blocks of this many particles, so that a block's
 # temporaries stay in cache.
 _BLOCK = 8192
-# Array calls of fewer particles decide survival from the closed form alone:
-# below about this size the bracket's fixed cost per call exceeds its saving.
+# Array calls of fewer particles decide survival from the closed form alone,
+# and build no table: below about this size the squeeze costs more than it saves.
 _SQUEEZE_MIN = 1024
 # Survival formula: warn if the Gaussian-difference cancellation exceeds this.
 CANCELLATION_REL_TOL = 1e-9
-# The image-term bracket is widened by these margins (relative, absolute),
-# far beyond the float error of either side where it is trusted: w^2 <= 1e5
-# (the error of e^{2cx + log Phi(-w)} grows with w^2), or |z| >= 40 and
-# w^2 <= 1e15, where phi(z), and the image term, underflow to 0.
-_REL_MARGIN, _ABS_MARGIN = 1e-9, 1e-15
-_W2_TRUSTED, _Z2_UNDERFLOW, _W2_UNDERFLOW = 1e5, 1600.0, 1e15
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# _survives' table spans c x in [0, 16] in 256 cells and c sqrt(t) in [0, 2]
+# in 128; the cell widths are powers of two, so the cell of a query is exact.
+_GRID = (16.0, 256, 2.0, 128)
+# Table decisions keep this absolute distance from the corner values, far
+# beyond the float error of the closed form on the table's domain.
+_TABLE_MARGIN = 1e-9
 _CLAMPED = "survival_probability: cancellation beyond relative 1e-9; clamping at 0"
 _BAD_STEP = "sample_killed_steps_batch: step lengths must be >= 0 (and not nan)"
 
@@ -153,9 +153,10 @@ def sample_killed_steps_batch(x, t, params: ModelParams, rng: np.random.Generato
     Returns (survived, position) arrays; position is nan where the particle
     was absorbed.  One uniform decides survival against the closed-form
     probability, u < survival_probability(x, t): on arrays of at least
-    _SQUEEZE_MIN particles, _survives takes that decision from a bracket of
-    the closed form wherever the bracket settles it.  Surviving positions come from the Gaussian-proposal
-    rejection loop, whose array rounds run in blocks of _BLOCK particles.
+    _SQUEEZE_MIN particles, _survives takes that decision from a table of
+    the closed form's bounds wherever they settle it.  Surviving positions
+    come from the Gaussian-proposal rejection loop, whose array rounds run
+    in blocks of _BLOCK particles.
     A call of at most _FEW particles runs on Python floats throughout, with
     the draws and float expressions of the array path.  A negative or nan
     step length raises ValueError.
@@ -236,51 +237,48 @@ def sample_killed_steps_batch(x, t, params: ModelParams, rng: np.random.Generato
     return np.asarray(survived, dtype=bool), np.asarray(position)
 
 
-def _image_bracket(x, t, c: float):
-    """first = Phi((x-ct)/sqrt t) and bounds lo <= e^{2cx} Phi(-(x+ct)/sqrt t)
-    <= hi, on arrays, with first bit for bit survival_probability's.
-
-    With z = (x-ct)/sqrt t and w = (x+ct)/sqrt t the image term is
-    phi(z) R(w), R(w) = Phi(-w)/phi(w) Mills' ratio, and for w > 0 Gordon's
-    w/(1+w^2) <= R(w) <= 1/w (Ann. Math. Statist. 12, 1941).  The margins
-    make the bracket hold the value survival_probability computes, not only
-    the exact one.  Where no bound is trusted (x <= 0, t = 0, a nan or inf,
-    or w^2 too large) lo = 0 and hi = inf, which decide nothing.
-    """
-    rt = np.sqrt(t)
-    ct = c * t
-    z = (x - ct) / rt
-    first = ndtr(z)
-    w = (x + ct) / rt
-    z2, w2 = z * z, w * w
-    phi = np.exp(-0.5 * z2) * _INV_SQRT_2PI
-    lo = phi * w / (1.0 + w2) * (1.0 - _REL_MARGIN) - _ABS_MARGIN
-    hi = phi / w * (1.0 + _REL_MARGIN) + _ABS_MARGIN
-    trusted = (x > 0) & ((w2 <= _W2_TRUSTED) | ((z2 >= _Z2_UNDERFLOW) & (w2 <= _W2_UNDERFLOW)))
-    return first, np.where(trusted, lo, 0.0), np.where(trusted, hi, math.inf)
+@functools.lru_cache(maxsize=16)
+def _survival_table(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The squeeze thresholds (lo, hi) of each cell of _GRID, flat, from
+    survival_probability at the nodes.  P_x(X_t > 0) rises with x and falls
+    with t, so on a cell its value at the (least x, greatest t) corner bounds
+    it below and at the (greatest x, least t) corner above; widened by
+    _TABLE_MARGIN, the bounds hold every value survival_probability computes
+    on the cell.  Beyond the last row the upper bound is 1 (hi = inf); beyond
+    the last column, or where lo leaves 0 (and a clamp) possible, nothing is
+    decided."""
+    a_top, na, s_top, ns = _GRID
+    s = np.arange(ns + 1) * (s_top / ns) / params.c
+    tab = survival_probability(np.arange(na + 1)[:, None] * (a_top / na) / params.c, s * s, params)
+    lo = np.full((na + 1, ns + 1), -math.inf)
+    hi = np.full((na + 1, ns + 1), math.inf)
+    lo[:, :-1] = tab[:, 1:] - _TABLE_MARGIN
+    hi[:-1, :-1] = np.where(tab[:-1, 1:] > _TABLE_MARGIN, tab[1:, :-1] + _TABLE_MARGIN, math.inf)
+    return lo.ravel(), hi.ravel()
 
 
 def _survives(x, t, u, params: ModelParams) -> np.ndarray:
     """u < survival_probability(x, t, params) elementwise, decided in blocks
     of _BLOCK particles by a squeeze test (Marsaglia, Comput. Math. Appl.
-    1977) on _image_bracket.  The float difference first - image only
-    grows as the image term falls, so u < first - hi means survival, and
-    u >= first - lo with lo > 0 absorption (lo > 0 also keeps out every
-    value survival_probability would clamp, and warn about).  The particles
-    the bracket leaves open take one survival_probability call, so its
-    clamp warning is still raised at most once per call.
+    1977) on the cell of (c x, c sqrt t) in _survival_table: u < lo means
+    survival and u >= hi absorption.  x <= 0 and nan fall in row 0, where
+    nothing is decided.  The particles the table leaves open take one
+    survival_probability call, so its clamp warning is still raised at
+    most once per call.
     """
-    n, c = x.size, params.c
+    n, (a_top, na, s_top, ns) = x.size, _GRID
+    lo, hi = _survival_table(params)
+    to_a, to_s = na / a_top * params.c, ns / s_top * params.c
     survived = np.empty(n, dtype=bool)
     undecided = np.empty(n, dtype=bool)
-    with np.errstate(all="ignore"):  # t = 0, inf and nan are left undecided
-        for start in range(0, n, _BLOCK):
-            b = slice(start, start + _BLOCK)
-            first, lo, hi = _image_bracket(x[b], t[b], c)
-            lives = u[b] < first - hi
-            dies = (lo > 0.0) & (u[b] >= first - lo)
-            survived[b] = lives
-            undecided[b] = ~(lives | dies)
+    for start in range(0, n, _BLOCK):
+        b = slice(start, start + _BLOCK)
+        cell = np.minimum(np.fmax(x[b] * to_a, 0.0), na).astype(np.intp)
+        cell *= ns + 1
+        cell += np.minimum(np.sqrt(t[b]) * to_s, ns).astype(np.intp)
+        lives = np.less(u[b], lo.take(cell), out=survived[b])
+        np.less(u[b], hi.take(cell), out=undecided[b])
+        undecided[b] &= ~lives
     rows = undecided.nonzero()[0]
     if rows.size:
         survived[rows] = u[rows] < survival_probability(x[rows], t[rows], params)

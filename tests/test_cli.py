@@ -577,6 +577,19 @@ def test_phase_command_grid_flags(tmp_path):
     assert [(cell["certified"] > 0, cell["undecided"]) for cell in cells] == [(False, 0), (True, 0)]
 
 
+def test_phase_grids_stand_in_for_missing_c_and_r(tmp_path):
+    """phase with grids alone takes c and r from their first values; the
+    cells, and so summary.csv and report.jsonl, are those of a run that
+    passes --c and --r beside the same grids."""
+    grids = ["--c-grid", "1", "--r-grid", "0.3,1.5", "--horizon", "40", "--replicates", "25", "--seed", "17"]
+    assert main(["phase", *SUPER, *grids, "--out", str(tmp_path / "both")]) == 0
+    assert main(["phase", "--offspring", "dyadic", *grids, "--out", str(tmp_path / "grids")]) == 0
+    for name in ("summary.csv", "report.jsonl"):
+        assert _read(str(tmp_path / "grids" / name)) == _read(str(tmp_path / "both" / name))
+    config = json.loads(_read(str(tmp_path / "grids" / "config.json")))
+    assert (config["c"], config["r"]) == (1.0, 0.3)
+
+
 # ---------------------------------------------------------------------------
 # entry point and imports, in a fresh interpreter
 # ---------------------------------------------------------------------------

@@ -490,12 +490,23 @@ def test_clamp_warns_once_across_blocks():
     assert not survived.any() and np.all(np.isnan(pos))
 
 
-def _exact_image(x, t, c):
-    """e^{2cx} Phi(-(x+ct)/sqrt t) in 60-digit arithmetic, for the float inputs."""
+def _exact_survival(x, t, c):
+    """P_x(X_t > 0) at the float inputs, in 60-digit arithmetic."""
     import mpmath
     with mpmath.workdps(60):
-        x, t, c = mpmath.mpf(x), mpmath.mpf(t), mpmath.mpf(c)
-        return mpmath.exp(2 * c * x) * mpmath.ncdf(-(x + c * t) / mpmath.sqrt(t))
+        a, s = c * mpmath.mpf(x), c * mpmath.sqrt(t)
+        if s == 0:
+            return mpmath.mpf(a > 0)
+        # Phi beyond |z| = 10^4 is 0 or 1 within e^{-10^7}; mpmath overflows there
+        ncdf = lambda z: mpmath.ncdf(z) if abs(z) < 1e4 else mpmath.mpf(z > 0)  # noqa: E731
+        return ncdf((a - s * s) / s) - mpmath.exp(2 * a) * ncdf(-(a + s * s) / s)
+
+
+def _table_node(i, j, c):
+    """The (x, t) of node (i, j) of kernel._GRID, in _survival_table's float expressions."""
+    a_top, na, s_top, ns = kernel._GRID
+    s = j * (s_top / ns) / c
+    return i * (a_top / na) / c, s * s
 
 
 @given(st.floats(0.05, 20.0),
@@ -507,25 +518,76 @@ def test_survival_squeeze_equals_closed_form_property(c, logs, seed):
     """_survives(x, t, u) == (u < survival_probability(x, t)) for u at sp,
     at its float neighbours and at random, over x in [1e-3, 1e3],
     t in [1e-6, 1e3] and c in [0.05, 20], with x = inf, t = 0, x < 0,
-    x/sqrt t = 30 and a large w^2 beside them; and the image-term bracket
-    holds the exact image term."""
+    x = nan, x/sqrt t = 30, a large w^2, c x beyond the table's last row and
+    c sqrt t beyond its last column beside them; and for each query on the
+    table's domain the corner values of its cell bound sp within the margin,
+    as the table's thresholds."""
     p = params(c=c)
+    a_top, na, s_top, ns = kernel._GRID
     x = np.exp([a for a, _ in logs])
     t = np.exp([b for _, b in logs])
-    x = np.concatenate([x, [math.inf, x[0], -x[0], 30.0 * math.sqrt(t[0]), 1e5]])
-    t = np.concatenate([t, [t[0], 0.0, t[0], t[0], 1e5 / c]])
+    x = np.concatenate([x, [math.inf, x[0], -x[0], math.nan, 30.0 * math.sqrt(t[0]), 1e5,
+                            2 * a_top / c, x[0]]])
+    t = np.concatenate([t, [t[0], 0.0, t[0], t[0], t[0], 1e5 / c, t[0], (2 * s_top / c) ** 2]])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)   # x < 0 clamps
         sp = survival_probability(x, t, p)
         for u in (sp, np.nextafter(sp, 0.0), np.nextafter(sp, 1.0),
                   np.random.default_rng(seed).random(x.size)):
             assert np.array_equal(kernel._survives(x, t, u, p), u < sp)
-        with np.errstate(all="ignore"):
-            first, lo, hi = kernel._image_bracket(x, t, c)
-    sure = np.isfinite(hi)
-    assert not sure[-5:-2].any()                      # x = inf, t = 0, x < 0
-    for xi, ti, lo_i, hi_i in zip(x[sure], t[sure], lo[sure], hi[sure]):
-        assert lo_i <= _exact_image(xi, ti, c) <= hi_i
+    a, s = c * x, c * np.sqrt(t)
+    inside = (a >= 0.0) & (a < a_top) & (s < s_top)   # nan is outside
+    i, j = np.floor(a[inside] * (na / a_top)), np.floor(s[inside] * (ns / s_top))
+    lo = survival_probability(*_table_node(i, j + 1, c), p)
+    hi = survival_probability(*_table_node(i + 1, j, c), p)
+    m = kernel._TABLE_MARGIN
+    assert np.all(lo - m <= sp[inside]) and np.all(sp[inside] <= hi + m)
+    lo_t, hi_t = kernel._survival_table(p)
+    cell = (i * (ns + 1) + j).astype(np.intp)
+    assert np.array_equal(lo_t[cell], lo - m)
+    assert np.array_equal(hi_t[cell], np.where(lo > m, hi + m, math.inf))
+
+
+@pytest.mark.parametrize("c", [0.05, 1.0, 20.0])
+def test_survival_table_float_error_below_half_margin(c):
+    """The closed form's float error on the table's domain stays below half
+    _TABLE_MARGIN against 60-digit arithmetic, so a corner value and a query
+    in its cell each err by less than that.  Checked at every 8th node in
+    each direction (and the last), as a table entry against the exact value
+    at the exact node, and one ulp inside each corner of the cells around
+    it, as a query at its float inputs."""
+    p = params(c=c)
+    a_top, na, s_top, ns = kernel._GRID
+    errors = []
+    for i in sorted({*range(0, na + 1, 8), na}):
+        for j in sorted({*range(0, ns + 1, 8), ns}):
+            x, t = _table_node(i, j, c)
+            exact = _exact_survival(i * (a_top / na), (j * (s_top / ns)) ** 2, 1.0)
+            errors.append(survival_probability(x, t, p) - exact)
+            xs = [np.nextafter(x, d) for d, inward in ((-math.inf, i > 0), (math.inf, i < na)) if inward]
+            ts = [np.nextafter(t, d) for d, inward in ((-math.inf, j > 0), (math.inf, j < ns)) if inward]
+            errors += [survival_probability(xq, tq, p) - _exact_survival(xq, tq, c)
+                       for xq in xs for tq in ts]
+    assert max(abs(e) for e in errors) < kernel._TABLE_MARGIN / 2
+
+
+def test_survival_table_built_once_and_only_for_squeezed_calls(monkeypatch):
+    """A call below _SQUEEZE_MIN never builds the table, and one model
+    builds it once however many calls use it."""
+    p = params(c=0.7)
+
+    def refuse(params):
+        raise AssertionError("the survival table was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(kernel, "_survival_table", refuse)
+        for n in (1, kernel._FEW + 1, kernel._SQUEEZE_MIN - 1):
+            sample_killed_steps_batch(np.ones(n), np.ones(n), p, np.random.default_rng(n))
+    kernel._survival_table.cache_clear()
+    for n in (kernel._SQUEEZE_MIN, 2 * kernel._BLOCK + 1):
+        sample_killed_steps_batch(np.ones(n), np.ones(n), p, np.random.default_rng(n))
+    info = kernel._survival_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 class _CountingRng:
